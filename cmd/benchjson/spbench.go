@@ -9,6 +9,7 @@ import (
 	"jcr/internal/graph"
 	"jcr/internal/online"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
 
 // spGraph builds the shortest-path benchmark topology: a random connected
@@ -167,21 +168,21 @@ func rerouteHours() []online.HourInput {
 	return rerouteHorizon
 }
 
-// rnrOnlyPolicy never plans serving paths, forcing every request of every
-// hour through the online fallback reroute.
-type rnrOnlyPolicy struct{}
+// rnrOnlyStrategy never plans serving paths, forcing every request of
+// every hour through the online fallback reroute.
+type rnrOnlyStrategy struct{}
 
-func (rnrOnlyPolicy) Name() string { return "rnr-only" }
+func (rnrOnlyStrategy) Name() string { return "rnr-only" }
 
-func (rnrOnlyPolicy) Decide(_ context.Context, spec *placement.Spec, _ [][]float64) (*online.Decision, error) {
-	return &online.Decision{Placement: spec.NewPlacement()}, nil
+func (rnrOnlyStrategy) Decide(_ context.Context, inst strategy.Instance) (*strategy.Plan, strategy.Stats, error) {
+	return &strategy.Plan{Placement: inst.Spec.NewPlacement()}, strategy.Stats{}, nil
 }
 
 // faultReroute runs the online controller over the fault horizon, with the
 // cross-hour tree engine (the after side) or with every tree cold (the
 // before side, Options.NoTreeReuse).
 func faultReroute(noTreeReuse bool) error {
-	_, err := online.Run(context.Background(), rnrOnlyPolicy{}, rerouteHours(),
+	_, err := online.Run(context.Background(), "rnr-only", rnrOnlyStrategy{}, rerouteHours(),
 		online.Options{Resilient: true, NoTreeReuse: noTreeReuse})
 	return err
 }

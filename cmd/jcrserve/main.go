@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	jcrserve [-hours 12] [-lookups 100000] [-policy rnr|alternating]
+//	jcrserve [-hours 12] [-lookups 100000] [-policy rnr|alternating|<strategy>]
 //	jcrserve -kill-cp 6                 # control plane dies at hour 6
 //	jcrserve -corrupt-push 4 -corrupt-hours 2
 //	jcrserve -concurrent               # race load against live plan swaps
@@ -30,11 +30,11 @@ import (
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/par"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
 	"jcr/internal/serve"
+	"jcr/internal/strategy"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		lookups      = fs.Int("lookups", 100000, "lookups fired per hour")
 		loadWorkers  = fs.Int("load-workers", 0, "load-generator workers (0 = GOMAXPROCS)")
 		seed         = fs.Int64("seed", 1, "random seed for demand drift and load sampling")
-		policyName   = fs.String("policy", "rnr", "replan policy: rnr (greedy + nearest replica) or alternating (warm-started pipeline)")
+		policyName   = fs.String("policy", "rnr", "replan strategy, any registry name: rnr (greedy + nearest replica), alternating (warm-started pipeline), ...")
 		killCP       = fs.Int("kill-cp", -1, "hour at which the control plane dies for the rest of the run (-1 = never)")
 		corruptPush  = fs.Int("corrupt-push", -1, "first hour of the corrupted-push window (-1 = never)")
 		corruptHours = fs.Int("corrupt-hours", 1, "length of the corrupted-push window")
@@ -67,14 +67,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "jcrserve: -hours and -corrupt-hours must be positive, -lookups non-negative")
 		return 2
 	}
-	var policy online.Policy
-	switch *policyName {
-	case "rnr":
-		policy = online.RNRPolicy{}
-	case "alternating":
-		policy = &online.AlternatingPolicy{WarmStart: true, BestEffort: true, Rng: rand.New(rand.NewSource(*seed))}
-	default:
-		fmt.Fprintf(stderr, "jcrserve: unknown policy %q\n", *policyName)
+	st, err := strategy.New(*policyName, strategy.Options{
+		Rng: rand.New(rand.NewSource(*seed)), WarmStart: true, BestEffort: true,
+	})
+	if err != nil {
+		fmt.Fprintln(stderr, "jcrserve:", err)
 		return 2
 	}
 
@@ -91,15 +88,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *corruptPush >= 0 {
 		scenario = faults.Merge("chaos", scenario, faults.CorruptedPush(*corruptPush, *corruptHours))
 	}
-	cp, err := serve.NewControlPlane(policy, dp, serve.ControlPlaneOptions{
-		DecideTimeout: *timeout,
-		MaxRetries:    *retries,
-		Backoff:       10 * time.Millisecond,
-		Sleep:         sleepCtx,
-		Validate:      true,
-		Now:           func() int64 { return time.Now().UnixNano() },
-		Scenario:      scenario,
-		CorruptSeed:   *seed,
+	cp, err := serve.NewControlPlane(st, dp, serve.ControlPlaneOptions{
+		Retry: strategy.Retry{
+			DecideTimeout: *timeout,
+			MaxRetries:    *retries,
+			Backoff:       10 * time.Millisecond,
+			Sleep:         sleepCtx,
+			Validate:      true,
+		},
+		Now:         func() int64 { return time.Now().UnixNano() },
+		Scenario:    scenario,
+		CorruptSeed: *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "jcrserve:", err)

@@ -13,6 +13,7 @@ import (
 	"jcr"
 	"jcr/internal/experiments"
 	"jcr/internal/online"
+	"jcr/internal/strategy"
 )
 
 func main() {
@@ -41,14 +42,17 @@ func main() {
 
 	fmt.Println("online edge caching over 8 hours (decisions on GPR forecasts):")
 	fmt.Printf("%-28s %14s %12s %8s\n", "policy", "total cost", "mean cong.", "churn")
-	for _, pol := range []online.Policy{
-		&online.AlternatingPolicy{},
-		&online.AlternatingPolicy{WarmStart: true},
-		&online.StaticPolicy{Inner: &online.AlternatingPolicy{}},
-		online.SPPolicy{Origin: sc.Net.Origin},
-		online.RNRPolicy{},
+	for _, pol := range []struct {
+		label string
+		st    strategy.Strategy
+	}{
+		{"alternating", &strategy.Alternating{}},
+		{"alternating (warm start)", &strategy.Alternating{WarmStart: true}},
+		{"static alternating", &strategy.Static{Inner: &strategy.Alternating{}}},
+		{"SP [38]", &strategy.SP{}},
+		{"greedy + RNR", &strategy.RNR{}},
 	} {
-		series, err := online.Simulate(pol, hours)
+		series, err := online.Simulate(pol.label, pol.st, hours)
 		if err != nil {
 			log.Fatal(err)
 		}

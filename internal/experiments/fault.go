@@ -7,6 +7,7 @@ import (
 	"jcr/internal/faults"
 	"jcr/internal/graph"
 	"jcr/internal/online"
+	"jcr/internal/strategy"
 )
 
 // faultIntensities are the swept per-hour link-failure probabilities: 0 is
@@ -66,14 +67,13 @@ func FigFault(ctx context.Context, cfg *Config, window int) ([]Figure, error) {
 			if err != nil {
 				return err
 			}
-			for _, pol := range faultPolicies(sc) {
-				series, err := online.Run(ctx, pol, hours, online.Options{
-					Resilient:  true,
-					MaxRetries: 1,
-					Validate:   true,
+			for _, pol := range faultPolicies() {
+				series, err := online.Run(ctx, pol.label, pol.st, hours, online.Options{
+					Retry:     strategy.Retry{MaxRetries: 1, Validate: true},
+					Resilient: true,
 				})
 				if err != nil {
-					return fmt.Errorf("fault mc %d intensity %g policy %s: %w", mc, intensity, pol.Name(), err)
+					return fmt.Errorf("fault mc %d intensity %g policy %s: %w", mc, intensity, pol.label, err)
 				}
 				var cost, cong float64
 				for _, h := range series.Hours {
@@ -101,14 +101,21 @@ func FigFault(ctx context.Context, cfg *Config, window int) ([]Figure, error) {
 	return figs, nil
 }
 
-// faultPolicies builds fresh policy instances (the alternating policy is
-// stateful across hours) for one simulated trace.
-func faultPolicies(sc *Scenario) []online.Policy {
-	return []online.Policy{
-		&online.AlternatingPolicy{WarmStart: true, BestEffort: true},
-		online.SPPolicy{Origin: sc.Net.Origin},
-		online.KSPPolicy{Origin: sc.Net.Origin, K: 3},
-		online.RNRPolicy{},
+// labeledStrategy is one series of an online experiment: a strategy and
+// the label its curves carry.
+type labeledStrategy struct {
+	label string
+	st    strategy.Strategy
+}
+
+// faultPolicies builds fresh strategy instances (the alternating strategy
+// is stateful across hours) for one simulated trace.
+func faultPolicies() []labeledStrategy {
+	return []labeledStrategy{
+		{"alternating (warm start)", &strategy.Alternating{WarmStart: true, BestEffort: true}},
+		{"SP [38]", &strategy.SP{}},
+		{"3-SP [3]", &strategy.KSP{}},
+		{"greedy + RNR", &strategy.RNR{}},
 	}
 }
 

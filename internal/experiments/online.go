@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"jcr/internal/online"
+	"jcr/internal/strategy"
 )
 
 // Online simulates the paper's operational setting over a window of
@@ -36,12 +37,12 @@ func Online(cfg *Config, window int) ([]Figure, error) {
 			Dist:     run.Dist,
 		})
 	}
-	policies := []online.Policy{
-		&online.AlternatingPolicy{},
-		&online.AlternatingPolicy{WarmStart: true},
-		online.SPPolicy{Origin: sc.Net.Origin},
-		online.RNRPolicy{},
-		&online.StaticPolicy{Inner: &online.AlternatingPolicy{}},
+	policies := []labeledStrategy{
+		{"alternating", &strategy.Alternating{}},
+		{"alternating (warm start)", &strategy.Alternating{WarmStart: true}},
+		{"SP [38]", &strategy.SP{}},
+		{"greedy + RNR", &strategy.RNR{}},
+		{"static alternating", &strategy.Static{Inner: &strategy.Alternating{}}},
 	}
 	figs := []Figure{
 		{ID: "OnlineA", Title: "Online operation: per-hour routing cost (GPR-predicted demand)", XLabel: "hour", YLabel: "routing cost"},
@@ -52,7 +53,7 @@ func Online(cfg *Config, window int) ([]Figure, error) {
 	cCong := newCollector(&figs[1])
 	cChurn := newCollector(&figs[2])
 	for _, pol := range policies {
-		series, err := online.Simulate(pol, hours)
+		series, err := online.Simulate(pol.label, pol.st, hours)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"jcr/internal/faults"
 	"jcr/internal/graph"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
 
 // buildHours makes a small multi-hour workload whose hot item flips
@@ -59,11 +60,11 @@ func buildHours(t *testing.T) []HourInput {
 
 func TestSimulateAlternatingAdapts(t *testing.T) {
 	hours := buildHours(t)
-	adaptive, err := Simulate(&AlternatingPolicy{Rng: rand.New(rand.NewSource(1))}, hours)
+	adaptive, err := Simulate("test", &strategy.Alternating{Rng: rand.New(rand.NewSource(1))}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	static, err := Simulate(&StaticPolicy{Inner: &AlternatingPolicy{Rng: rand.New(rand.NewSource(1))}}, hours)
+	static, err := Simulate("test", &strategy.Static{Inner: &strategy.Alternating{Rng: rand.New(rand.NewSource(1))}}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestSimulateAlternatingAdapts(t *testing.T) {
 
 func TestWarmStartReducesChurn(t *testing.T) {
 	hours := buildHours(t)
-	cold, err := Simulate(&AlternatingPolicy{Rng: rand.New(rand.NewSource(2))}, hours)
+	cold, err := Simulate("test", &strategy.Alternating{Rng: rand.New(rand.NewSource(2))}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Simulate(&AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(2))}, hours)
+	warm, err := Simulate("test", &strategy.Alternating{WarmStart: true, Rng: rand.New(rand.NewSource(2))}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +107,13 @@ func TestWarmStartReducesChurn(t *testing.T) {
 
 func TestBaselinePolicies(t *testing.T) {
 	hours := buildHours(t)
-	for _, pol := range []Policy{
-		SPPolicy{Origin: 0},
-		RNRPolicy{},
-		&AlternatingPolicy{Fractional: true, Rng: rand.New(rand.NewSource(3))},
+	for _, pol := range []strategy.Strategy{
+		&strategy.SP{},
+		&strategy.KSP{},
+		&strategy.RNR{},
+		&strategy.Alternating{Fractional: true, Rng: rand.New(rand.NewSource(3))},
 	} {
-		s, err := Simulate(pol, hours)
+		s, err := Simulate(pol.Name(), pol, hours)
 		if err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
@@ -151,7 +153,7 @@ func TestSimulateErrorPropagation(t *testing.T) {
 		CacheCap: []float64{0}, // wrong length
 		Rates:    [][]float64{{0, 1}},
 	}
-	_, err := Simulate(&AlternatingPolicy{}, []HourInput{{
+	_, err := Simulate("test", &strategy.Alternating{}, []HourInput{{
 		Hour: 0, Decision: bad, Truth: bad, Dist: graph.AllPairs(g),
 	}})
 	if err == nil {
@@ -171,7 +173,7 @@ func TestEvaluateOnTruthUnanticipated(t *testing.T) {
 		Pinned:   []graph.NodeID{0},
 		Rates:    [][]float64{{0, 2}},
 	}
-	dec := &Decision{Placement: s.NewPlacement()}
+	dec := &strategy.Plan{Placement: s.NewPlacement()}
 	ev, err := evaluateOnTruth(HourInput{Truth: s, Dist: graph.AllPairs(g)}, dec, false, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -187,19 +189,20 @@ func TestEvaluateOnTruthUnanticipated(t *testing.T) {
 	}
 }
 
-// scriptedPolicy runs a per-call function, for fault-injection tests.
-type scriptedPolicy struct {
+// scriptedStrategy runs a per-call function, for fault-injection tests.
+type scriptedStrategy struct {
 	name  string
 	calls int
-	fn    func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error)
+	fn    func(call int, ctx context.Context, inst strategy.Instance) (*strategy.Plan, error)
 }
 
-func (p *scriptedPolicy) Name() string { return p.name }
+func (p *scriptedStrategy) Name() string { return p.name }
 
-func (p *scriptedPolicy) Decide(ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+func (p *scriptedStrategy) Decide(ctx context.Context, inst strategy.Instance) (*strategy.Plan, strategy.Stats, error) {
 	call := p.calls
 	p.calls++
-	return p.fn(call, ctx, spec, dist)
+	plan, err := p.fn(call, ctx, inst)
+	return plan, strategy.Stats{Iterations: 1}, err
 }
 
 // TestFaultResilientIdleIsBitForBit: with no faults and no failing
@@ -207,12 +210,12 @@ func (p *scriptedPolicy) Decide(ctx context.Context, spec *placement.Spec, dist 
 // exactly — same costs, congestion, and churn at every hour.
 func TestFaultResilientIdleIsBitForBit(t *testing.T) {
 	hours := buildHours(t)
-	strict, err := Simulate(&AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(7))}, hours)
+	strict, err := Simulate("test", &strategy.Alternating{WarmStart: true, Rng: rand.New(rand.NewSource(7))}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Run(context.Background(), &AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(7))},
-		hours, Options{Resilient: true, MaxRetries: 2, Validate: true})
+	hard, err := Run(context.Background(), "test", &strategy.Alternating{WarmStart: true, Rng: rand.New(rand.NewSource(7))},
+		hours, Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 2, Validate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,19 +247,19 @@ func TestFaultTimeoutDegradesToLastKnownGood(t *testing.T) {
 	hours := buildHours(t)
 	good := hours[0].Decision.NewPlacement()
 	good.Stores[2][0] = true // cache the hot item at edge node 2
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "block-on-second",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, inst strategy.Instance) (*strategy.Plan, error) {
 			if call == 1 || call == 2 { // hours 1 and 2 hang until the deadline
 				<-ctx.Done()
 				return nil, ctx.Err()
 			}
-			return &Decision{Placement: good.Clone()}, nil
+			return &strategy.Plan{Placement: good.Clone()}, nil
 		},
 	}
-	series, err := Run(context.Background(), pol, hours, Options{
-		Resilient:     true,
-		DecideTimeout: 20 * time.Millisecond,
+	series, err := Run(context.Background(), "test", pol, hours, Options{
+		Resilient: true,
+		Retry:     strategy.Retry{DecideTimeout: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,10 +283,10 @@ func TestFaultTimeoutDegradesToLastKnownGood(t *testing.T) {
 		t.Errorf("LongestOutage = %d, want 2", got)
 	}
 	// Strict mode must surface the timeout instead of degrading.
-	pol2 := &scriptedPolicy{name: "block-always", fn: func(int, context.Context, *placement.Spec, [][]float64) (*Decision, error) {
+	pol2 := &scriptedStrategy{name: "block-always", fn: func(int, context.Context, strategy.Instance) (*strategy.Plan, error) {
 		return nil, context.DeadlineExceeded
 	}}
-	if _, err := Run(context.Background(), pol2, hours[:1], Options{DecideTimeout: time.Millisecond}); err == nil {
+	if _, err := Run(context.Background(), "test", pol2, hours[:1], Options{Retry: strategy.Retry{DecideTimeout: time.Millisecond}}); err == nil {
 		t.Error("strict run swallowed a decision failure")
 	}
 }
@@ -292,7 +295,7 @@ func TestFaultTimeoutDegradesToLastKnownGood(t *testing.T) {
 // context is a configuration error, not a silent no-op.
 func TestFaultTimeoutRequiresContext(t *testing.T) {
 	hours := buildHours(t)
-	_, err := Run(nil, &AlternatingPolicy{}, hours, Options{DecideTimeout: time.Second})
+	_, err := Run(nil, "test", &strategy.Alternating{}, hours, Options{Retry: strategy.Retry{DecideTimeout: time.Second}})
 	if err == nil {
 		t.Fatal("nil context with DecideTimeout accepted")
 	}
@@ -303,16 +306,16 @@ func TestFaultTimeoutRequiresContext(t *testing.T) {
 func TestFaultRetryRecovers(t *testing.T) {
 	hours := buildHours(t)[:1]
 	good := hours[0].Decision.NewPlacement()
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "flaky",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, inst strategy.Instance) (*strategy.Plan, error) {
 			if call < 2 {
 				return nil, fmt.Errorf("transient failure %d", call)
 			}
-			return &Decision{Placement: good.Clone()}, nil
+			return &strategy.Plan{Placement: good.Clone()}, nil
 		},
 	}
-	series, err := Run(context.Background(), pol, hours, Options{Resilient: true, MaxRetries: 2})
+	series, err := Run(context.Background(), "test", pol, hours, Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +325,7 @@ func TestFaultRetryRecovers(t *testing.T) {
 	}
 	// One retry fewer must exhaust the budget and degrade instead.
 	pol.calls = 0
-	series, err = Run(context.Background(), pol, hours, Options{Resilient: true, MaxRetries: 1})
+	series, err = Run(context.Background(), "test", pol, hours, Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,20 +339,20 @@ func TestFaultRetryRecovers(t *testing.T) {
 // fatal otherwise).
 func TestFaultValidateRejectsInfeasible(t *testing.T) {
 	hours := buildHours(t)[:1]
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "overfull",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
-			pl := spec.NewPlacement()
+		fn: func(call int, ctx context.Context, inst strategy.Instance) (*strategy.Plan, error) {
+			pl := inst.Spec.NewPlacement()
 			pl.Stores[2][0] = true
 			pl.Stores[2][1] = true // capacity 1: infeasible
-			return &Decision{Placement: pl}, nil
+			return &strategy.Plan{Placement: pl}, nil
 		},
 	}
-	if _, err := Run(context.Background(), pol, hours, Options{Validate: true}); err == nil {
+	if _, err := Run(context.Background(), "test", pol, hours, Options{Retry: strategy.Retry{Validate: true}}); err == nil {
 		t.Error("strict validating run accepted an infeasible placement")
 	}
 	pol.calls = 0
-	series, err := Run(context.Background(), pol, hours, Options{Validate: true, Resilient: true})
+	series, err := Run(context.Background(), "test", pol, hours, Options{Resilient: true, Retry: strategy.Retry{Validate: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,10 +376,10 @@ func TestFaultUnservedAccounting(t *testing.T) {
 		Rates:    [][]float64{{0, 3, 1}},
 	}
 	hour := HourInput{Hour: 0, Decision: s, Truth: s, Dist: graph.AllPairs(g)}
-	pol := &scriptedPolicy{name: "origin-only", fn: func(int, context.Context, *placement.Spec, [][]float64) (*Decision, error) {
-		return &Decision{Placement: s.NewPlacement()}, nil
+	pol := &scriptedStrategy{name: "origin-only", fn: func(int, context.Context, strategy.Instance) (*strategy.Plan, error) {
+		return &strategy.Plan{Placement: s.NewPlacement()}, nil
 	}}
-	series, err := Run(context.Background(), pol, []HourInput{hour}, Options{Resilient: true})
+	series, err := Run(context.Background(), "test", pol, []HourInput{hour}, Options{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +391,7 @@ func TestFaultUnservedAccounting(t *testing.T) {
 		t.Errorf("ServedFraction = %v, want %v", got, want)
 	}
 	// Strict evaluation must keep erroring on stranded demand.
-	if _, err := Run(context.Background(), pol, []HourInput{hour}, Options{}); err == nil {
+	if _, err := Run(context.Background(), "test", pol, []HourInput{hour}, Options{}); err == nil {
 		t.Error("strict run served a partitioned network silently")
 	}
 }
@@ -407,16 +410,16 @@ func TestFaultFallbackEvictsToDegradedCapacity(t *testing.T) {
 	hours[1].Truth = &tr
 	good := hours[0].Decision.NewPlacement()
 	good.Stores[2][0] = true
-	pol := &scriptedPolicy{
+	pol := &scriptedStrategy{
 		name: "fail-second",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, inst strategy.Instance) (*strategy.Plan, error) {
 			if call > 0 {
 				return nil, fmt.Errorf("controller down")
 			}
-			return &Decision{Placement: good.Clone()}, nil
+			return &strategy.Plan{Placement: good.Clone()}, nil
 		},
 	}
-	series, err := Run(context.Background(), pol, hours, Options{Resilient: true})
+	series, err := Run(context.Background(), "test", pol, hours, Options{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,16 +470,16 @@ func TestTreeReuseIsBitForBit(t *testing.T) {
 	}
 	// The decision never plans any serving, so every request of every hour
 	// goes through the nearest-replica trees the engine caches.
-	pol := func() Policy {
-		return &scriptedPolicy{name: "origin-only", fn: func(_ int, _ context.Context, spec *placement.Spec, _ [][]float64) (*Decision, error) {
-			return &Decision{Placement: spec.NewPlacement()}, nil
+	pol := func() strategy.Strategy {
+		return &scriptedStrategy{name: "origin-only", fn: func(_ int, _ context.Context, inst strategy.Instance) (*strategy.Plan, error) {
+			return &strategy.Plan{Placement: inst.Spec.NewPlacement()}, nil
 		}}
 	}
-	warm, err := Run(context.Background(), pol(), hours, Options{Resilient: true})
+	warm, err := Run(context.Background(), "test", pol(), hours, Options{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Run(context.Background(), pol(), hours, Options{Resilient: true, NoTreeReuse: true})
+	cold, err := Run(context.Background(), "test", pol(), hours, Options{Resilient: true, NoTreeReuse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,17 +501,18 @@ func TestTreeReuseIsBitForBit(t *testing.T) {
 // controller must report recovery on the next hour.
 func TestRunFirstHourDecideFails(t *testing.T) {
 	hours := buildHours(t)
-	inner := &AlternatingPolicy{Rng: rand.New(rand.NewSource(3))}
-	pol := &scriptedPolicy{
+	inner := &strategy.Alternating{Rng: rand.New(rand.NewSource(3))}
+	pol := &scriptedStrategy{
 		name: "first-hour-dead",
-		fn: func(call int, ctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+		fn: func(call int, ctx context.Context, inst strategy.Instance) (*strategy.Plan, error) {
 			if call == 0 {
 				return nil, fmt.Errorf("injected first-hour failure")
 			}
-			return inner.Decide(ctx, spec, dist)
+			plan, _, err := inner.Decide(ctx, inst)
+			return plan, err
 		},
 	}
-	series, err := Run(context.Background(), pol, hours, Options{Resilient: true})
+	series, err := Run(context.Background(), "test", pol, hours, Options{Resilient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,24 +555,25 @@ func TestRunCtxCanceledMidRun(t *testing.T) {
 		opts Options
 	}{
 		{"strict", Options{}},
-		{"resilient", Options{Resilient: true, MaxRetries: 1}},
+		{"resilient", Options{Resilient: true, Retry: strategy.Retry{MaxRetries: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hours := buildHours(t)
 			ctx, cancel := context.WithCancel(context.Background())
 			const stopAfter = 2
-			pol := &scriptedPolicy{
+			pol := &scriptedStrategy{
 				name: "self-canceling",
-				fn: func(call int, dctx context.Context, spec *placement.Spec, dist [][]float64) (*Decision, error) {
+				fn: func(call int, dctx context.Context, inst strategy.Instance) (*strategy.Plan, error) {
 					if call == stopAfter {
 						// The caller goes away while hour 2's decision is
 						// in flight.
 						cancel()
 					}
-					return (&RNRPolicy{}).Decide(dctx, spec, dist)
+					plan, _, err := (&strategy.RNR{}).Decide(dctx, inst)
+					return plan, err
 				},
 			}
-			series, err := Run(ctx, pol, hours, tc.opts)
+			series, err := Run(ctx, "test", pol, hours, tc.opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("Run = %v, want context.Canceled", err)
 			}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"jcr/internal/strategy"
 )
 
 // samePlacement reports exact equality of two placements' stores.
@@ -30,11 +32,11 @@ func samePlacement(a, b [][]bool) bool {
 // and caches may only change how fast the answer arrives.
 func TestSolverReuseMatchesNoReuse(t *testing.T) {
 	hours := buildHours(t)
-	reused, err := Simulate(&AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(3))}, hours)
+	reused, err := Simulate("test", &strategy.Alternating{WarmStart: true, Rng: rand.New(rand.NewSource(3))}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Simulate(&AlternatingPolicy{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(3))}, hours)
+	cold, err := Simulate("test", &strategy.Alternating{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(3))}, hours)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,14 +59,17 @@ func TestSolverReuseMatchesNoReuse(t *testing.T) {
 // never saw the failure.
 func TestSolverReuseSurvivesFailedHour(t *testing.T) {
 	hours := buildHours(t)
-	pol := &AlternatingPolicy{WarmStart: true, Rng: rand.New(rand.NewSource(4))}
-	ref := &AlternatingPolicy{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(4))}
+	pol := &strategy.Alternating{WarmStart: true, Rng: rand.New(rand.NewSource(4))}
+	ref := &strategy.Alternating{WarmStart: true, NoSolverReuse: true, Rng: rand.New(rand.NewSource(4))}
+	inst := func(h int) strategy.Instance {
+		return strategy.Instance{Spec: hours[h].Decision, Dist: hours[h].Dist}
+	}
 
-	d0, err := pol.Decide(context.Background(), hours[0].Decision, hours[0].Dist)
+	d0, _, err := pol.Decide(context.Background(), inst(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := ref.Decide(context.Background(), hours[0].Decision, hours[0].Dist)
+	r0, _, err := ref.Decide(context.Background(), inst(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +81,24 @@ func TestSolverReuseSurvivesFailedHour(t *testing.T) {
 	// a context that is already done mid-flight).
 	cctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := pol.Decide(cctx, hours[1].Decision, hours[1].Dist); err == nil {
+	if _, _, err := pol.Decide(cctx, inst(1)); err == nil {
 		t.Fatal("canceled Decide succeeded")
 	}
 
 	// Hour 2 must recover and agree with the reference policy, whose only
 	// history is the two successful hours.
-	d2, err := pol.Decide(context.Background(), hours[2].Decision, hours[2].Dist)
+	d2, _, err := pol.Decide(context.Background(), inst(2))
 	if err != nil {
 		t.Fatalf("hour after failure: %v", err)
 	}
-	r2, err := ref.Decide(context.Background(), hours[2].Decision, hours[2].Dist)
+	r2, _, err := ref.Decide(context.Background(), inst(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !samePlacement(d2.Placement.Stores, r2.Placement.Stores) {
 		t.Error("post-failure placement diverges from the never-failed reference")
 	}
-	if err := validateDecision(hours[2].Decision, d2); err != nil {
+	if err := strategy.Validate(inst(2), d2); err != nil {
 		t.Errorf("post-failure decision invalid: %v", err)
 	}
 }

@@ -6,10 +6,10 @@ import (
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/par"
 	"jcr/internal/placement"
 	"jcr/internal/rng"
+	"jcr/internal/strategy"
 )
 
 // chaosInputs builds a drifting multi-hour workload on a mesh: demand
@@ -65,8 +65,8 @@ func TestChaosControlPlaneKilledMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
-		Validate: true,
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
+		Retry:    strategy.Retry{Validate: true},
 		Scenario: faults.ControlPlaneOutage(hours/2, hours), // dead until the end
 	})
 	if err != nil {
@@ -112,7 +112,7 @@ func TestChaosColdStartWithDeadControlPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
 		Scenario: faults.ControlPlaneOutage(0, hours),
 	})
 	if err != nil {
@@ -146,8 +146,8 @@ func TestChaosCorruptedPushMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
-		Validate:    true,
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
+		Retry:       strategy.Retry{Validate: true},
 		Scenario:    faults.CorruptedPush(2, 3),
 		CorruptSeed: 1,
 	})
@@ -209,8 +209,8 @@ func TestChaosConcurrentLoadAndSwaps(t *testing.T) {
 		faults.ControlPlaneOutage(2, 1),
 		faults.CorruptedPush(4, 1),
 	)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
-		Validate:    true,
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
+		Retry:       strategy.Retry{Validate: true},
 		Scenario:    sc,
 		CorruptSeed: 3,
 	})

@@ -8,26 +8,26 @@ import (
 
 	"jcr/internal/faults"
 	"jcr/internal/graph"
-	"jcr/internal/online"
 	"jcr/internal/placement"
+	"jcr/internal/strategy"
 )
 
-// countingPolicy wraps a policy, counting Decide calls and optionally
+// countingStrategy wraps a strategy, counting Decide calls and optionally
 // failing the first failN of them.
-type countingPolicy struct {
-	inner online.Policy
+type countingStrategy struct {
+	inner strategy.Strategy
 	calls int
 	failN int
 }
 
-func (p *countingPolicy) Name() string { return "counting " + p.inner.Name() }
+func (p *countingStrategy) Name() string { return "counting " + p.inner.Name() }
 
-func (p *countingPolicy) Decide(ctx context.Context, spec *placement.Spec, dist [][]float64) (*online.Decision, error) {
+func (p *countingStrategy) Decide(ctx context.Context, inst strategy.Instance) (*strategy.Plan, strategy.Stats, error) {
 	p.calls++
 	if p.calls <= p.failN {
-		return nil, errors.New("injected decide failure")
+		return nil, strategy.Stats{}, errors.New("injected decide failure")
 	}
-	return p.inner.Decide(ctx, spec, dist)
+	return p.inner.Decide(ctx, inst)
 }
 
 func planInputs(t *testing.T, s *placement.Spec, hours int) []PlanInput {
@@ -44,9 +44,9 @@ func TestControlPlanePushes(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
 	now := int64(1000)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
-		Validate: true,
-		Now:      func() int64 { now += 10; return now },
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
+		Retry: strategy.Retry{Validate: true},
+		Now:   func() int64 { now += 10; return now },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestControlPlaneDecideFailureLeavesLastGood(t *testing.T) {
 	dp := testDataPlane(t, s)
 	// Hour 0 succeeds; hour 1's decide fails even after retries; hour 2
 	// recovers. The data plane serves hour 0's plan throughout.
-	pol := &countingPolicy{inner: online.RNRPolicy{}}
-	cp, err := NewControlPlane(pol, dp, ControlPlaneOptions{MaxRetries: 1})
+	pol := &countingStrategy{inner: &strategy.RNR{}}
+	cp, err := NewControlPlane(pol, dp, ControlPlaneOptions{Retry: strategy.Retry{MaxRetries: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestControlPlaneDecideFailureLeavesLastGood(t *testing.T) {
 func TestControlPlaneSkipsDownHours(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	pol := &countingPolicy{inner: online.RNRPolicy{}}
+	pol := &countingStrategy{inner: &strategy.RNR{}}
 	cp, err := NewControlPlane(pol, dp, ControlPlaneOptions{
 		Scenario: faults.ControlPlaneOutage(1, 2),
 	})
@@ -141,7 +141,7 @@ func TestControlPlaneSkipsDownHours(t *testing.T) {
 func TestControlPlaneCorruptedPushRejected(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
 		Scenario:    faults.CorruptedPush(1, 2),
 		CorruptSeed: 7,
 	})
@@ -172,7 +172,7 @@ func TestControlPlaneCorruptedPushRejected(t *testing.T) {
 func TestControlPlaneCtxCancellation(t *testing.T) {
 	s := testSpec(t)
 	dp := testDataPlane(t, s)
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{})
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +193,17 @@ func TestControlPlaneOptionValidation(t *testing.T) {
 	if _, err := NewControlPlane(nil, dp, ControlPlaneOptions{}); err == nil {
 		t.Fatal("built a control plane without a policy")
 	}
-	if _, err := NewControlPlane(online.RNRPolicy{}, nil, ControlPlaneOptions{}); err == nil {
+	if _, err := NewControlPlane(&strategy.RNR{}, nil, ControlPlaneOptions{}); err == nil {
 		t.Fatal("built a control plane without a data plane")
 	}
-	if _, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{MaxRetries: -1}); err == nil {
+	if _, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{Retry: strategy.Retry{MaxRetries: -1}}); err == nil {
 		t.Fatal("accepted negative retries")
 	}
-	cp, err := NewControlPlane(online.RNRPolicy{}, dp, ControlPlaneOptions{DecideTimeout: time.Second})
+	// A DecideTimeout without a context is a configuration error: the
+	// cycle fails on its first attempt instead of retrying it.
+	cp, err := NewControlPlane(&strategy.RNR{}, dp, ControlPlaneOptions{
+		Retry: strategy.Retry{DecideTimeout: time.Second, MaxRetries: 2},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +211,7 @@ func TestControlPlaneOptionValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Outcome != StepDecideFailed {
+	if rep.Outcome != StepDecideFailed || rep.Retries != 0 {
 		t.Fatalf("DecideTimeout without a context: %+v", rep)
 	}
 }

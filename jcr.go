@@ -39,6 +39,7 @@ import (
 	"jcr/internal/online"
 	"jcr/internal/placement"
 	"jcr/internal/routing"
+	"jcr/internal/strategy"
 	"jcr/internal/topo"
 )
 
@@ -159,15 +160,16 @@ var (
 
 // Online-operation types (hourly re-optimization; see internal/online).
 type (
-	// OnlinePolicy decides one hour's placement and routing.
-	OnlinePolicy = online.Policy
+	// OnlinePolicy decides one hour's placement and routing: any
+	// joint caching-and-routing strategy.
+	OnlinePolicy = strategy.Strategy
 	// OnlineHour is one hour of workload (decision and truth demand).
 	OnlineHour = online.HourInput
 	// OnlineSeries is a policy's simulated record.
 	OnlineSeries = online.Series
 	// AlternatingPolicy re-optimizes hourly with the Section 4.3.3
 	// algorithm.
-	AlternatingPolicy = online.AlternatingPolicy
+	AlternatingPolicy = strategy.Alternating
 )
 
 // OnlineOptions harden the online simulation: per-decision deadlines,
@@ -177,15 +179,16 @@ type OnlineOptions = online.Options
 
 // SimulateOnline replays a policy over consecutive hours, serving the
 // realized demand with decisions made on the (predicted) decision demand.
+// The series is labeled with the policy's name.
 func SimulateOnline(policy OnlinePolicy, hours []OnlineHour) (*OnlineSeries, error) {
-	return online.Simulate(policy, hours)
+	return online.Simulate(policy.Name(), policy, hours)
 }
 
 // RunOnline is SimulateOnline under hardening options (see OnlineOptions):
 // with the zero options and a nil context it is identical to
 // SimulateOnline.
 func RunOnline(ctx context.Context, policy OnlinePolicy, hours []OnlineHour, opts OnlineOptions) (*OnlineSeries, error) {
-	return online.Run(ctx, policy, hours, opts)
+	return online.Run(ctx, policy.Name(), policy, hours, opts)
 }
 
 // ExperimentConfig carries the evaluation-harness knobs.
