@@ -296,15 +296,12 @@ type Solution struct {
 	// Objective is the optimal objective value in the problem's sense.
 	Objective float64
 	// Pivots counts simplex iterations across both phases, including
-	// bound flips; it is PrimalPivots + DualPivots + flip-only steps.
+	// bound flips; it is PrimalPivots + BoundFlips.
 	Pivots int
-	// PrimalPivots and DualPivots count basis exchanges performed by the
-	// primal and dual pivot loops respectively.
+	// PrimalPivots counts basis exchanges.
 	PrimalPivots int
-	DualPivots   int
 	// BoundFlips counts boxed nonbasic variables flipped from one bound
-	// to the other without a basis change (primal long steps and the
-	// dual bound-flipping ratio test).
+	// to the other without a basis change (primal long steps).
 	BoundFlips int
 	// Refactors counts basis LU (re)factorizations, including the
 	// initial one of a cold solve.
@@ -362,7 +359,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 	x := r.extract()
 	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
-	addGlobalCounters(sol, false)
+	addGlobalCounters(sol)
 	return sol, nil
 }
 

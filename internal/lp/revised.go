@@ -47,15 +47,12 @@ type revised struct {
 	alphaTouched []int
 	alphaEpoch   int64
 
-	dcand dualCands // dual-pivot candidate list (preallocated)
-
 	zOK      bool    // z was recomputed from the duals since the last exchange
 	wMax     float64 // largest devex weight; resets the framework when huge
 	scanFrom int     // partial-pricing cursor
 
 	pivots       int
 	primalPivots int
-	dualPivots   int
 	boundFlips   int
 	degenerate   int
 	ctx          context.Context
@@ -103,7 +100,6 @@ func newRevised(p *Problem) *revised {
 func (r *revised) statsMark() {
 	r.pivots = 0
 	r.primalPivots = 0
-	r.dualPivots = 0
 	r.boundFlips = 0
 	r.degenerate = 0
 	if r.b != nil {
@@ -118,7 +114,6 @@ func (r *revised) statsMark() {
 // fillCounters copies the per-solve pivot/refactor counters into sol.
 func (r *revised) fillCounters(sol *Solution) {
 	sol.PrimalPivots = r.primalPivots
-	sol.DualPivots = r.dualPivots
 	sol.BoundFlips = r.boundFlips
 	if r.b != nil {
 		sol.Refactors = int(r.b.refactors - r.markRefactors)
@@ -223,39 +218,27 @@ func (r *revised) computeZ() {
 }
 
 // patchZ recomputes the reduced costs of the given columns against the
-// retained duals and reports whether every repriced column stayed
-// unattractive. It serves warm restarts whose mutations touched nonbasic
+// retained duals. It serves warm restarts whose mutations touched nonbasic
 // columns only (objective coefficient or matrix values): such edits leave
 // the duals y = B^-T c_B untouched — the basis, its costs, and the
 // factorization are all unchanged since the previous solve's
 // optimality-confirming computeZ — so repricing is one sparse dot product
-// per listed column, no BTRAN. The returned flag lets the caller skip the
-// full pricing sweep: the unlisted entries of z are bit-for-bit the fresh
-// reduced costs the previous confirm scan already cleared.
+// per listed column, no BTRAN.
 //
 //jcr:hotpath
-func (r *revised) patchZ(cols []int) (stillDual bool) {
-	stillDual = true
+func (r *revised) patchZ(cols []int) {
 	for _, j := range cols {
 		if r.inRow[j] >= 0 {
 			r.z[j] = 0
 			continue
 		}
-		z := r.c[j] - r.f.dotCol(j, r.y)
-		r.z[j] = z
-		if r.frozen[j] || r.f.ub[j] == 0 {
-			continue
-		}
-		if (!r.atUp[j] && -z > costTol) || (r.atUp[j] && z > costTol) {
-			stillDual = false
-		}
+		r.z[j] = r.c[j] - r.f.dotCol(j, r.y)
 	}
-	return stillDual
 }
 
 // iterate runs revised-simplex pivots until optimality for the current cost
 // vector. The caller must have loaded a valid reduced-cost vector (computeZ
-// or an incremental equivalent). Optimality is confirmed on a fresh z: if a
+// or an incremental equivalent). Optimality is declared only on a fresh z: if a
 // scan over incrementally maintained reduced costs finds no entering
 // column, z is recomputed from the duals and the scan repeated before
 // declaring the basis optimal.
@@ -277,7 +260,7 @@ func (r *revised) iterate() error {
 		e := r.chooseEntering(bland)
 		if e < 0 {
 			if r.zOK {
-				return nil // optimal, confirmed on fresh reduced costs
+				return nil // optimal on fresh reduced costs
 			}
 			r.computeZ()
 			continue
@@ -289,8 +272,7 @@ func (r *revised) iterate() error {
 	return ErrIterationLimit
 }
 
-// pivotLimit bounds total iterations per solve across phases and pivot
-// loops (primal and dual).
+// pivotLimit bounds total iterations per solve across both phases.
 func (r *revised) pivotLimit() int { return 200*(r.f.m+r.f.n) + 20000 }
 
 // priceRow gathers the pivot-row alphas alpha_j = rho . A_j for every
@@ -633,23 +615,6 @@ func (r *revised) recomputeBeta() {
 		}
 	}
 	r.b.ftran(r.beta)
-}
-
-// applyRHSDeltas folds right-hand-side changes into beta with a single
-// FTRAN of the delta vector instead of a full recomputation: the new basic
-// values are beta + B^-1 (delta rhs). rows/deltas pair row indices with the
-// change of f.rhs on that row (repeats accumulate).
-func (r *revised) applyRHSDeltas(rows []int, deltas []float64) {
-	for i := range r.d {
-		r.d[i] = 0
-	}
-	for k, i := range rows {
-		r.d[i] += deltas[k]
-	}
-	r.b.ftran(r.d)
-	for i := 0; i < r.f.m; i++ {
-		r.beta[i] += r.d[i]
-	}
 }
 
 // extract recovers the structural solution in original (unshifted)

@@ -15,17 +15,17 @@ type SolverStats struct {
 	Solves int
 	// WarmHits counts solves completed from the retained basis.
 	WarmHits int
-	// WarmDualHits counts the subset of WarmHits that restored primal
-	// feasibility through the dual simplex (a retained basis left primal
-	// infeasible but dual feasible by the mutation, typically RHS-only).
-	WarmDualHits int
+	// Rejected counts solves whose retained basis was turned down because
+	// the problem's skeleton (variable count, row operators, or index
+	// patterns) no longer matched it; each one ran cold.
+	Rejected int
 	// ColdSolves counts solves that (re)built all state from scratch,
 	// including the cold halves of abandoned warm attempts.
 	ColdSolves int
 	// Fallbacks counts warm-start attempts abandoned for a cold solve
-	// (structural value outside the frozen sparsity pattern, a basis
-	// neither primal nor dual feasible, numerical failure, or any
-	// pivot-loop error).
+	// (structural value outside the frozen sparsity pattern, a retained
+	// basis left primal infeasible by the update, numerical failure, or
+	// any pivot-loop error).
 	Fallbacks int
 	// DenseFallbacks counts cold solves that fell through to the dense
 	// tableau oracle after a sparse numerical failure.
@@ -34,7 +34,6 @@ type SolverStats struct {
 	// Cumulative per-solve iteration counters (see Solution for the
 	// per-solve meanings).
 	PrimalPivots int64
-	DualPivots   int64
 	BoundFlips   int64
 	Refactors    int64
 	EtaUpdates   int64
@@ -74,26 +73,24 @@ var forceWarmNumericFailure bool
 // Warm-start policy: a solve is warm when the new problem has the same
 // skeleton as the retained one (same variable count and, row by row, the
 // same operator and index pattern — objective, bounds, right-hand sides,
-// and coefficient values are free to move). The standardized form is then
-// updated in place — replaying the problem's data-mutation log when the
-// handle solved this exact Problem before (O(changes)), or rescanning the
-// skeleton otherwise — and the solve walks a decision ladder:
+// and coefficient values are free to move). A warm solve takes three steps:
 //
-//  1. retained basis still primal feasible: primal iterations from the
-//     retained basis, factorization, and reduced costs;
-//  2. primal infeasible but dual feasible (the RHS-only perturbation
-//     shape): dual simplex pivots restore primal feasibility, then a
-//     primal polish pass confirms optimality;
-//  3. neither: cold solve (phase 1 + phase 2 from scratch);
-//  4. sparse numerical failure anywhere: dense tableau oracle.
+//  1. sync the data: replay the problem's data-mutation log when the handle
+//     solved this exact Problem before (O(changes)), or rescan the skeleton
+//     otherwise;
+//  2. refactorize if a basic column's matrix value moved, and recompute the
+//     basic values if a right-hand side, bound, or value moved;
+//  3. if the retained basis is still primal feasible, run primal
+//     iterations from it, its factorization, and its reduced costs.
 //
-// Any failure along the way abandons the attempt one rung down, so a
-// Solver's verdict and objective always match a fresh Problem.SolveContext
-// to within the solver tolerances (the differential suite pins this at
-// 1e-9). Solutions may differ across warm and cold paths only as alternate
-// optima. Infeasibility is never declared on the dual rung: a stalled or
-// stuck dual loop falls back to the cold primal path, whose phase-1
-// verdict is the one differential-tested against the dense oracle.
+// Any other outcome — data outside the frozen sparsity pattern, a basis
+// left primal infeasible, a numerical failure, or any pivot-loop error —
+// abandons the attempt for a cold solve (phase 1 + phase 2 from scratch),
+// and a sparse numerical failure there falls through to the dense tableau
+// oracle. A Solver's verdict and objective therefore always match a fresh
+// Problem.SolveContext to within the solver tolerances (the differential
+// suite pins this at 1e-9). Solutions may differ across warm and cold
+// paths only as alternate optima.
 //
 // A Solver is not safe for concurrent use. Never share one across parallel
 // workers (e.g. Monte-Carlo samples): per-sequence handles keep `-workers N`
@@ -115,23 +112,16 @@ type Solver struct {
 
 	// Reused scratch of the incremental warm update.
 	patchCols []int
-	rhsRows   []int
-	rhsDeltas []float64
-
-	// deltaSolves counts consecutive warm solves whose beta was advanced
-	// by sparse RHS-delta FTRANs; a periodic full recompute sheds the
-	// accumulated drift.
-	deltaSolves int
 }
 
 // warmChange summarizes what a warm update actually changed, which decides
 // how much retained state survives.
 type warmChange struct {
 	ok        bool // false: data no longer fits the frozen skeleton
-	full      bool // full rescan ran (foreign pointer or log overflow)
-	valsBasic bool // a basic column's matrix value moved: refactorize
+	valsBasic bool // a basic column's matrix value may have moved: refactorize
 	bounds    bool // some bound moved: recompute beta, re-check strands
-	costsFull bool // sense flip or basic-column objective change
+	rhs       bool // some right-hand side moved: recompute beta
+	costsFull bool // full rescan, sense flip, or basic-column objective change
 }
 
 // NewSolver returns an empty handle; its first solve is necessarily cold.
@@ -170,22 +160,22 @@ func (s *Solver) SolveContext(ctx context.Context, p *Problem) (*Solution, error
 		return p.SolveContext(ctx)
 	}
 	s.stats.Solves++
-	if s.hasBasis && s.matches(p) {
-		sol, viaDual, err := s.warmSolve(ctx, p)
+	if s.hasBasis {
+		if !s.matches(p) {
+			s.stats.Rejected++
+			return s.coldSolve(ctx, p)
+		}
+		sol, err := s.warmSolve(ctx, p)
 		if err == nil {
 			s.stats.WarmHits++
-			if viaDual {
-				s.stats.WarmDualHits++
-			}
-			s.noteSolution(sol, viaDual)
+			s.noteSolution(sol)
 			s.retain(p)
 			return sol, nil
 		}
 		// Every warm-path failure — structural slot mismatch, numerics,
-		// a basis neither primal nor dual feasible, or a pivot-loop error
-		// (including context cancellation, whose partial pivots
-		// invalidated the state) — falls back to an authoritative cold
-		// solve.
+		// a primal infeasible basis, or a pivot-loop error (including
+		// context cancellation, whose partial pivots invalidated the
+		// state) — falls back to an authoritative cold solve.
 		s.stats.Fallbacks++
 	}
 	return s.coldSolve(ctx, p)
@@ -202,14 +192,13 @@ func (s *Solver) retain(p *Problem) {
 
 // noteSolution folds a successful solve's per-solve counters into the
 // cumulative stats and the package-wide counters.
-func (s *Solver) noteSolution(sol *Solution, viaDual bool) {
+func (s *Solver) noteSolution(sol *Solution) {
 	s.stats.PrimalPivots += int64(sol.PrimalPivots)
-	s.stats.DualPivots += int64(sol.DualPivots)
 	s.stats.BoundFlips += int64(sol.BoundFlips)
 	s.stats.Refactors += int64(sol.Refactors)
 	s.stats.EtaUpdates += int64(sol.EtaUpdates)
 	s.stats.EtaNNZ += int64(sol.EtaNNZ)
-	addGlobalCounters(sol, viaDual)
+	addGlobalCounters(sol)
 }
 
 // matches reports whether p has the same structural skeleton as the problem
@@ -244,10 +233,9 @@ func (s *Solver) matches(p *Problem) bool {
 }
 
 // applyMuts replays the tail of p's data-mutation log against the retained
-// standardized form, cost vector, and reduced costs, recording row deltas
-// and columns to reprice as it goes. It is the O(changes) alternative to
-// updateFrom's full rescan, valid because p is the identical Problem the
-// form was last synchronized with.
+// standardized form and cost vector, recording the columns to reprice as it
+// goes. It is the O(changes) alternative to updateFrom's full rescan, valid
+// because p is the identical Problem the form was last synchronized with.
 func (s *Solver) applyMuts(p *Problem, muts []mutation) (ch warmChange) {
 	r := s.r
 	ch.ok = true
@@ -258,10 +246,8 @@ func (s *Solver) applyMuts(p *Problem, muts []mutation) (ch warmChange) {
 	for _, m := range muts {
 		switch m.kind {
 		case mutRHS:
-			i := int(m.i)
-			if d := r.f.refreshRHS(p, i); d != 0 {
-				s.rhsRows = append(s.rhsRows, i)
-				s.rhsDeltas = append(s.rhsDeltas, d)
+			if r.f.refreshRHS(p, int(m.i)) != 0 {
+				ch.rhs = true
 			}
 		case mutObj:
 			j := int(m.j)
@@ -287,9 +273,8 @@ func (s *Solver) applyMuts(p *Problem, muts []mutation) (ch warmChange) {
 				ch.ok = false
 				return ch
 			}
-			if d := r.f.refreshRHS(p, i); d != 0 {
-				s.rhsRows = append(s.rhsRows, i)
-				s.rhsDeltas = append(s.rhsDeltas, d)
+			if r.f.refreshRHS(p, i) != 0 {
+				ch.rhs = true
 			}
 			if changed {
 				if r.inRow[j] >= 0 {
@@ -309,31 +294,28 @@ func (s *Solver) applyMuts(p *Problem, muts []mutation) (ch warmChange) {
 	return ch
 }
 
-// warmSolve attempts to re-solve p from the retained optimal basis, walking
-// the decision ladder of the type comment. viaDual reports that the dual
-// simplex restored primal feasibility. Any returned error means the caller
+// warmSolve attempts to re-solve p from the retained optimal basis, taking
+// the three steps of the type comment. Any returned error means the caller
 // must fall back to a cold solve; the retained state may then be
 // arbitrarily clobbered, which is fine because coldSolve rebuilds it from
 // scratch.
-func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaDual bool, err error) {
+func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	r := s.r
 	r.statsMark()
 	s.patchCols = s.patchCols[:0]
-	s.rhsRows = s.rhsRows[:0]
-	s.rhsDeltas = s.rhsDeltas[:0]
+	// Step 1: sync the data.
 	var ch warmChange
 	if p == s.prob && p.mutEpoch == s.logEpoch && s.logPos <= len(p.mut) {
 		ch = s.applyMuts(p, p.mut[s.logPos:])
 	} else {
-		ok, changed := r.f.updateFrom(p)
-		ch = warmChange{ok: ok, full: true, valsBasic: changed}
+		ch = r.f.updateFrom(p)
 	}
 	if !ch.ok {
-		return nil, false, errWarmFallback
+		return nil, errWarmFallback
 	}
 	r.p = p
 	r.ctx = ctx
-	// Rung 0: refresh the factorization and the basic values, as cheaply
+	// Step 2: refresh the factorization and the basic values, as cheaply
 	// as the change set allows.
 	if ch.valsBasic || forceWarmNumericFailure {
 		ferr := r.b.refactor(r.f, r.basis)
@@ -342,10 +324,10 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaD
 			ferr = errNumeric
 		}
 		if ferr != nil {
-			return nil, false, ferr
+			return nil, ferr
 		}
 	}
-	if ch.full || ch.bounds {
+	if ch.bounds {
 		// A bound change can strand a nonbasic variable at an upper bound
 		// that no longer exists (grew to +Inf) or collapsed onto the lower
 		// bound; those rest at their lower bound instead.
@@ -355,80 +337,38 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (sol *Solution, viaD
 			}
 		}
 	}
-	switch {
-	case ch.valsBasic || ch.full || ch.bounds:
+	if ch.valsBasic || ch.bounds || ch.rhs {
 		r.recomputeBeta()
-		s.deltaSolves = 0
-	case len(s.rhsRows) > 0:
-		// RHS-only movement: advance beta by one FTRAN of the deltas.
-		// Every deltaRecompute-th consecutive delta-advanced solve takes
-		// the full recomputation instead, shedding accumulated drift.
-		s.deltaSolves++
-		if s.deltaSolves >= deltaRecompute {
-			r.recomputeBeta()
-			s.deltaSolves = 0
-		} else {
-			r.applyRHSDeltas(s.rhsRows, s.rhsDeltas)
-		}
 	}
-	// Refresh costs and reduced costs to match. confirmed tracks whether
-	// the refreshed z is known dual feasible without a pricing sweep: the
-	// previous solve confirmed optimality on fresh reduced costs, and the
-	// mutations either left z untouched (RHS-only movement) or repriced
-	// exactly the patched columns against the still-valid duals. Bound
-	// edits void the shortcut — they can flip atUp flags and with them the
-	// attractiveness test on columns nobody repriced.
-	confirmed := r.zOK && !ch.full && !ch.bounds
+	// Refresh costs and reduced costs to match. Mutations that touched
+	// nonbasic columns only reprice exactly those columns against the
+	// still-valid duals.
 	switch {
-	case ch.full || ch.costsFull:
+	case ch.costsFull:
 		r.setPhase2Costs()
 		r.computeZ()
-		confirmed = false
 	case ch.valsBasic:
 		r.computeZ()
-		confirmed = false
 	case len(s.patchCols) > 0:
 		if !r.zOK {
 			r.computeZ() // retained duals unexpectedly stale: reprice everything
-		} else if !r.patchZ(s.patchCols) {
-			confirmed = false
+		} else {
+			r.patchZ(s.patchCols)
 		}
 	}
-	// Rung 1: retained basis still primal feasible — primal iterations.
-	// Rung 2: primal infeasible but dual feasible — dual simplex, then a
-	// primal polish pass that recomputes z and confirms optimality.
+	// Step 3: primal iterations from a still primal feasible basis.
 	if !r.primalFeasible() {
-		if !r.dualFeasible() {
-			return nil, false, errWarmFallback
-		}
-		if derr := r.dualIterate(); derr != nil {
-			return nil, false, derr
-		}
-		if !r.primalFeasible() {
-			return nil, false, errWarmFallback
-		}
-		r.zOK = false
-		confirmed = false
-		viaDual = true
+		return nil, errWarmFallback
 	}
 	r.degenerate = 0
-	// A confirmed-optimal basis skips the pricing sweep entirely: iterate()
-	// would rescan all n columns only to find the same unattractive reduced
-	// costs the shortcut already vouches for.
-	if !confirmed {
-		if ierr := r.iterate(); ierr != nil {
-			return nil, false, ierr
-		}
+	if err := r.iterate(); err != nil {
+		return nil, err
 	}
 	x := r.extract()
-	sol = &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
+	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
-	return sol, viaDual, nil
+	return sol, nil
 }
-
-// deltaRecompute bounds how many consecutive warm solves may advance beta
-// by sparse delta FTRANs before a full recomputation sheds the drift.
-const deltaRecompute = 64
 
 // primalFeasible reports whether every basic value is inside its box
 // (within feasTol) and finite.
@@ -458,7 +398,7 @@ func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 			s.stats.DenseFallbacks++
 			sol, derr := p.SolveDense(ctx)
 			if derr == nil {
-				addGlobalCounters(sol, false)
+				addGlobalCounters(sol)
 			}
 			return sol, derr
 		}
@@ -470,6 +410,6 @@ func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	x := r.extract()
 	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
 	r.fillCounters(sol)
-	s.noteSolution(sol, false)
+	s.noteSolution(sol)
 	return sol, nil
 }

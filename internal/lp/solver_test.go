@@ -164,8 +164,8 @@ func TestSolverStructuralChangeInvalidatesBasis(t *testing.T) {
 		t.Fatalf("objective after structural change %v, want 5", sol.Objective)
 	}
 	st := s.Stats()
-	if st.WarmHits != 0 || st.ColdSolves != 2 {
-		t.Fatalf("stats %+v: a structural change must force a second cold solve", st)
+	if st.WarmHits != 0 || st.ColdSolves != 2 || st.Rejected != 1 {
+		t.Fatalf("stats %+v: a structural change must reject the basis and force a second cold solve", st)
 	}
 	// A data-only follow-up on the grown skeleton must warm-start again.
 	if err := p.SetConstraintRHS(1, 2); err != nil {
@@ -351,6 +351,74 @@ func TestSolverRebuiltProblemWarmStarts(t *testing.T) {
 	}
 }
 
+// TestSolverReplayMatchesRescan pins the two warm paths workloads reach:
+// mutation-log replay on the same *Problem (the decomposed routing cells
+// re-pricing one problem) and a full rescan of a rebuilt, structurally
+// equal Problem (the placement and routing layers rebuilding theirs every
+// round). The same objective-only mutation sequence, fed both ways, must
+// warm-start every step and give bit-identical solutions.
+func TestSolverReplayMatchesRescan(t *testing.T) {
+	const steps = 40
+	rng := rand.New(rand.NewSource(17))
+	type objMut struct {
+		j int
+		c float64
+	}
+	build := func(muts []objMut) *Problem {
+		p := MMSFPSizedLP(6, 80, 3)
+		p.SetSense(Maximize) // binds the capacity rows, so re-pricing pivots
+		for _, m := range muts {
+			p.SetObjectiveCoeff(m.j, m.c)
+		}
+		return p
+	}
+	replayed := build(nil)
+	replay, rescan := NewSolver(), NewSolver()
+	if _, err := replay.Solve(replayed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rescan.Solve(build(nil)); err != nil {
+		t.Fatal(err)
+	}
+	var muts []objMut
+	pivots := 0
+	for step := 0; step < steps; step++ {
+		for k := 0; k < 3; k++ {
+			m := objMut{j: rng.Intn(replayed.NumVars()), c: 0.5 + 2*rng.Float64()}
+			muts = append(muts, m)
+			replayed.SetObjectiveCoeff(m.j, m.c)
+		}
+		a, err := replay.Solve(replayed)
+		if err != nil {
+			t.Fatalf("step %d: replay: %v", step, err)
+		}
+		b, err := rescan.Solve(build(muts))
+		if err != nil {
+			t.Fatalf("step %d: rescan: %v", step, err)
+		}
+		//jcrlint:allow float-eq: the two warm paths must be bit-identical, not merely close
+		if a.Objective != b.Objective || a.Pivots != b.Pivots {
+			t.Fatalf("step %d: replay (%v, %d pivots) vs rescan (%v, %d pivots)",
+				step, a.Objective, a.Pivots, b.Objective, b.Pivots)
+		}
+		pivots += a.Pivots
+		for j := range a.X {
+			//jcrlint:allow float-eq: the two warm paths must be bit-identical, not merely close
+			if a.X[j] != b.X[j] {
+				t.Fatalf("step %d: x[%d] replay %v vs rescan %v", step, j, a.X[j], b.X[j])
+			}
+		}
+	}
+	if pivots < steps {
+		t.Errorf("only %d warm pivots over %d steps; the mutations are not moving the optimum", pivots, steps)
+	}
+	for name, st := range map[string]SolverStats{"replay": replay.Stats(), "rescan": rescan.Stats()} {
+		if st.WarmHits != steps || st.ColdSolves != 1 {
+			t.Errorf("%s stats %+v: want every mutated step warm", name, st)
+		}
+	}
+}
+
 // TestSolverBoundBecomesInfinite covers the nonbasic-at-upper corner: after
 // an upper bound a variable rested at grows to +Inf, the warm path must
 // move it to its lower bound rather than price an infinite activity.
@@ -383,6 +451,178 @@ func TestSolverBoundBecomesInfinite(t *testing.T) {
 	}
 	if diff := math.Abs(sol.Objective - ref.Objective); diff > diffObjTol {
 		t.Fatalf("solver %v vs one-shot %v", sol.Objective, ref.Objective)
+	}
+}
+
+// TestDifferentialWarmRHS is the RHS-perturbation differential family:
+// random feasible LPs perturbed with RHS-only mutations, the shape that
+// can knock a retained basis primal infeasible, so the warm path must
+// abandon it for a cold solve. Every instance is solved three ways —
+// through the warm handle, by a fresh one-shot sparse primal solve, and by
+// the dense tableau oracle — and all three must agree on verdict and
+// (relative 1e-9) objective. The aggregate counters must show that the
+// primal-infeasible fallback actually ran, otherwise the suite silently
+// tests nothing.
+func TestDifferentialWarmRHS(t *testing.T) {
+	rng := rand.New(rand.NewSource(424242))
+	const (
+		sequences = 160
+		steps     = 3
+	)
+	var instances int
+	var agg SolverStats
+	for seq := 0; seq < sequences; seq++ {
+		p := randomLP(rng)
+		if len(p.cons) == 0 {
+			continue
+		}
+		s := NewSolver()
+		if _, err := s.SolveContext(nil, p); err != nil {
+			continue // no retained basis to perturb
+		}
+		for step := 0; step < steps; step++ {
+			i := rng.Intn(len(p.cons))
+			if err := p.SetConstraintRHS(i, float64(rng.Intn(17)-8)); err != nil {
+				t.Fatal(err)
+			}
+			instances++
+			warmSol, warmErr := s.SolveContext(nil, p)
+			coldSol, coldErr := p.SolveContext(nil)
+			denseSol, denseErr := p.SolveDense(nil)
+			wv, cv, dv := verdict(warmErr), verdict(coldErr), verdict(denseErr)
+			if wv != cv || cv != dv {
+				t.Fatalf("seq %d step %d: verdicts disagree: warm %q primal %q dense %q\n%s",
+					seq, step, wv, cv, dv, describeLP(p))
+			}
+			if coldErr != nil {
+				continue
+			}
+			for _, pair := range []struct {
+				name string
+				got  float64
+			}{{"warm-vs-primal", warmSol.Objective}, {"dense-vs-primal", denseSol.Objective}} {
+				diff := math.Abs(pair.got - coldSol.Objective)
+				if diff > diffObjTol*(1+math.Abs(coldSol.Objective)) {
+					t.Fatalf("seq %d step %d: %s objectives disagree: %v vs %v (diff %g)\n%s",
+						seq, step, pair.name, pair.got, coldSol.Objective, diff, describeLP(p))
+				}
+			}
+			if !feasible(p, warmSol.X) {
+				t.Fatalf("seq %d step %d: warm solution infeasible\n%s", seq, step, describeLP(p))
+			}
+		}
+		st := s.Stats()
+		agg.Solves += st.Solves
+		agg.WarmHits += st.WarmHits
+		agg.ColdSolves += st.ColdSolves
+		agg.Fallbacks += st.Fallbacks
+		agg.PrimalPivots += st.PrimalPivots
+		agg.BoundFlips += st.BoundFlips
+		agg.Refactors += st.Refactors
+	}
+	if instances < 200 {
+		t.Fatalf("only %d RHS-perturbation instances; the family promises at least 200", instances)
+	}
+	// The family exists to drive the primal-infeasible fallback: a healthy
+	// fraction of the warm attempts must have been abandoned for cold.
+	if agg.Fallbacks < instances/20 {
+		t.Errorf("only %d fallbacks over %d instances; the RHS perturbations are not knocking retained bases infeasible", agg.Fallbacks, instances)
+	}
+	t.Logf("instances=%d stats=%+v", instances, agg)
+}
+
+// TestStabilityTriggeredRefactor pins the Forrest-Tomlin-style stability
+// discipline: an update whose pivot element is relatively tiny must be
+// refused in favor of a fresh factorization, not absorbed. The test-only
+// forceUnstableUpdate hook makes the first eta append of a solve report
+// instability; the solve must complete with one extra refactorization and
+// the identical objective.
+func TestStabilityTriggeredRefactor(t *testing.T) {
+	build := func() *Problem {
+		p := NewProblem(3)
+		p.SetSense(Maximize)
+		for j := 0; j < 3; j++ {
+			p.SetObjectiveCoeff(j, float64(j+1))
+			p.SetBounds(j, 0, 10)
+		}
+		for _, row := range [][3]float64{{1, 1, 0}, {0, 1, 1}, {1, 0, 1}} {
+			if err := p.AddConstraint([]int{0, 1, 2}, []float64{row[0], row[1], row[2]}, LE, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	base, err := build().Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.EtaUpdates == 0 {
+		t.Fatalf("baseline solve performed no eta updates (pivots=%d); the hook would not fire", base.Pivots)
+	}
+	forceUnstableUpdate = true
+	forced, err := build().Solve()
+	forceUnstableUpdate = false
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced.Refactors != base.Refactors+1 {
+		t.Errorf("forced-unstable solve refactored %d times, want %d (baseline %d + 1)",
+			forced.Refactors, base.Refactors+1, base.Refactors)
+	}
+	if forced.EtaUpdates >= base.EtaUpdates+1 {
+		t.Errorf("refused update still appended: %d etas vs baseline %d", forced.EtaUpdates, base.EtaUpdates)
+	}
+	if math.Abs(forced.Objective-base.Objective) > diffObjTol*(1+math.Abs(base.Objective)) {
+		t.Errorf("objective moved under a forced refactorization: %v vs %v", forced.Objective, base.Objective)
+	}
+}
+
+// TestNearSingularWarmUpdates stresses the stability trigger on nearly
+// dependent columns: bases mixing x1 and x2 with x1+x2 differ from
+// singular by eps, so the product-form updates run close to the ftStabTol
+// floor. Across a sweep of eps the warm handle must keep agreeing with the
+// dense oracle after RHS perturbations.
+func TestNearSingularWarmUpdates(t *testing.T) {
+	for _, eps := range []float64{1e-6, 1e-8, 1e-10, 1e-12} {
+		p := NewProblem(3)
+		p.SetSense(Maximize)
+		p.SetObjectiveCoeff(0, 1)
+		p.SetObjectiveCoeff(1, 1)
+		p.SetObjectiveCoeff(2, 2-eps)
+		for j := 0; j < 3; j++ {
+			p.SetBounds(j, 0, 100)
+		}
+		// Column 2 is (1, 1+eps): within eps of the sum of columns 0 and 1.
+		if err := p.AddConstraint([]int{0, 2}, []float64{1, 1}, LE, 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddConstraint([]int{1, 2}, []float64{1, 1 + eps}, LE, 10); err != nil {
+			t.Fatal(err)
+		}
+		s := NewSolver()
+		if _, err := s.Solve(p); err != nil {
+			t.Fatalf("eps=%g: %v", eps, err)
+		}
+		for step, rhs := range []float64{4, 12, 6} {
+			if err := p.SetConstraintRHS(step%2, rhs); err != nil {
+				t.Fatal(err)
+			}
+			warm, err := s.Solve(p)
+			if err != nil {
+				t.Fatalf("eps=%g step %d: warm: %v", eps, step, err)
+			}
+			dense, err := p.SolveDense(nil)
+			if err != nil {
+				t.Fatalf("eps=%g step %d: dense: %v", eps, step, err)
+			}
+			// Near-singular data amplifies legitimate roundoff: compare at
+			// the dense oracle's own differential tolerance scaled by the
+			// conditioning, not at diffObjTol.
+			tol := diffObjTol / math.Max(eps, 1e-9)
+			if diff := math.Abs(warm.Objective - dense.Objective); diff > tol*(1+math.Abs(dense.Objective)) {
+				t.Errorf("eps=%g step %d: warm %v vs dense %v (diff %g)", eps, step, warm.Objective, dense.Objective, diff)
+			}
+		}
 	}
 }
 

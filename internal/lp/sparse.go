@@ -223,11 +223,21 @@ func (f *stdForm) buildRowMirror() {
 // coefficient that was exactly zero at construction (and therefore has no
 // CSC slot) became nonzero. The caller must then rebuild cold; f may be
 // left partially updated, which is fine because the cold path builds a
-// fresh stdForm. changed reports whether any matrix value moved, which is
-// what decides whether the caller must refactorize the basis.
-func (f *stdForm) updateFrom(p *Problem) (ok, changed bool) {
+// fresh stdForm. The returned change asks for a full cost reload (the
+// rescan does not track objective edits) and reports which parts of the
+// payload moved: any matrix value (the caller refactorizes the basis), any
+// upper bound, or any right-hand side (the caller recomputes the basic
+// values). Unmoved data leaves the retained basic values exactly as a
+// mutation-log replay would.
+func (f *stdForm) updateFrom(p *Problem) (ch warmChange) {
+	ch.costsFull = true
 	for j := 0; j < f.nStruct; j++ {
-		f.ub[j] = p.upper[j] - p.lower[j]
+		ub := p.upper[j] - p.lower[j]
+		//jcrlint:allow float-eq: exact-change detection decides the beta recomputation, not a tolerance check
+		if f.ub[j] != ub {
+			f.ub[j] = ub
+			ch.bounds = true
+		}
 	}
 	if f.next == nil {
 		f.next = make([]int, f.nStruct)
@@ -251,18 +261,23 @@ func (f *stdForm) updateFrom(p *Problem) (ok, changed bool) {
 				//jcrlint:allow float-eq: exact-change detection decides refactorization, not a tolerance check
 				if f.values[slot] != v {
 					f.values[slot] = v
-					changed = true
+					ch.valsBasic = true
 				}
 				next[j] = slot + 1
 			} else if c.val[k] != 0 {
 				// No slot: this entry was exactly zero when the CSC
 				// pattern was built, so the skeleton cannot hold it.
-				return false, changed
+				return ch
 			}
 		}
-		f.rhs[i] = sign * rhs
+		//jcrlint:allow float-eq: exact-change detection decides the beta recomputation, not a tolerance check
+		if rhs = sign * rhs; f.rhs[i] != rhs {
+			f.rhs[i] = rhs
+			ch.rhs = true
+		}
 	}
-	return true, changed
+	ch.ok = true
+	return ch
 }
 
 // refreshRHS recomputes the normalized right-hand side of row i from p
