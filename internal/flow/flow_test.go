@@ -47,8 +47,14 @@ func TestMinCostFlowPrefersCheapPath(t *testing.T) {
 func TestMinCostFlowInsufficient(t *testing.T) {
 	g := graph.New(2)
 	g.AddArc(0, 1, 1, 3)
-	if _, err := MinCostFlow(g, 0, 1, 5); !errors.Is(err, ErrInsufficientCapacity) {
+	_, err := MinCostFlow(g, 0, 1, 5)
+	if !errors.Is(err, ErrInsufficientCapacity) {
 		t.Errorf("err = %v, want ErrInsufficientCapacity", err)
+	}
+	// The error carries the demand left after a maximum flow: 5 - 3.
+	var se *ShortfallError
+	if !errors.As(err, &se) || math.Abs(se.Unrouted-2) > 1e-12 {
+		t.Errorf("err = %#v, want a shortfall of 2", err)
 	}
 }
 

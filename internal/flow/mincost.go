@@ -66,25 +66,41 @@ type hEnt struct {
 }
 
 func newResNet(g *graph.Graph) *resNet {
-	n := g.NumNodes()
-	m := g.NumArcs()
-	r := &resNet{
-		n:    n,
-		head: make([]int, n),
-		next: make([]int, 0, 2*m),
-		to:   make([]int, 0, 2*m),
-		cap:  make([]float64, 0, 2*m),
-		cost: make([]float64, 0, 2*m),
-		orig: make([]graph.ArcID, 0, 2*m),
+	r := new(resNet)
+	r.reset(g, nil)
+	return r
+}
+
+// reset rebuilds r as the residual network of g in place, one arc pair per
+// input arc in arc-ID order, reusing r's backing arrays. capOf, when
+// non-nil, maps each arc (by ID and graph capacity) to the capacity the
+// network gives it instead.
+func (r *resNet) reset(g *graph.Graph, capOf func(id graph.ArcID, c float64) float64) {
+	n, m := g.NumNodes(), g.NumArcs()
+	r.n = n
+	if cap(r.head) < n {
+		r.head = make([]int, n)
 	}
+	r.head = r.head[:n]
 	for v := range r.head {
 		r.head[v] = -1
 	}
+	if cap(r.to) < 2*m {
+		r.next = make([]int, 0, 2*m)
+		r.to = make([]int, 0, 2*m)
+		r.cap = make([]float64, 0, 2*m)
+		r.cost = make([]float64, 0, 2*m)
+		r.orig = make([]graph.ArcID, 0, 2*m)
+	}
+	r.next, r.to, r.cap, r.cost, r.orig = r.next[:0], r.to[:0], r.cap[:0], r.cost[:0], r.orig[:0]
 	for id := 0; id < m; id++ {
 		a := g.Arc(id)
-		r.addPair(a.From, a.To, a.Cap, a.Cost, id)
+		c := a.Cap
+		if capOf != nil {
+			c = capOf(id, c)
+		}
+		r.addPair(a.From, a.To, c, a.Cost, id)
 	}
-	return r
 }
 
 func (r *resNet) addPair(u, v int, capacity, cost float64, orig graph.ArcID) {
@@ -144,11 +160,12 @@ func (r *resNet) heapPop() hEnt {
 // the residual arc entering v on the shortest path. The returned slices are
 // the receiver's scratch, valid until the next call.
 func (r *resNet) dijkstra(src int, pot []float64) (dist []float64, parent []int) {
-	if r.dist == nil {
+	if cap(r.dist) < r.n {
 		r.dist = make([]float64, r.n)
 		r.parent = make([]int, r.n)
 		r.done = make([]bool, r.n)
 	}
+	r.dist, r.parent, r.done = r.dist[:r.n], r.parent[:r.n], r.done[:r.n]
 	dist, parent, done := r.dist, r.parent, r.done
 	for v := range dist {
 		dist[v] = math.Inf(1)
@@ -186,11 +203,11 @@ func (r *resNet) dijkstra(src int, pot []float64) (dist []float64, parent []int)
 }
 
 // MinCostFlow ships `value` units from src to dst at minimum cost using
-// successive shortest paths. It returns ErrInsufficientCapacity (with the
-// maximal shippable partial flow discarded) if the network cannot carry the
-// requested value. Arc costs must be nonnegative, which graph.AddArc
-// enforces. An infinite value ships as much as possible at minimum cost
-// (min-cost max-flow).
+// successive shortest paths. If the network cannot carry the requested
+// value it discards the maximal partial flow and returns a
+// *ShortfallError, which matches ErrInsufficientCapacity under errors.Is.
+// Arc costs must be nonnegative, which graph.AddArc enforces. An infinite
+// value ships as much as possible at minimum cost (min-cost max-flow).
 func MinCostFlow(g *graph.Graph, src, dst graph.NodeID, value float64) (*Result, error) {
 	return MinCostFlowContext(nil, g, src, dst, value)
 }
@@ -205,8 +222,78 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 	if src == dst {
 		return &Result{Arc: make([]float64, g.NumArcs())}, nil
 	}
-	r := newResNet(g)
-	pot := make([]float64, r.n)
+	var nw Network
+	nw.Reset(g, nil)
+	if err := nw.MinCostFlow(ctx, src, dst, value); err != nil {
+		return nil, err
+	}
+	return nw.r.extract(g, src), nil
+}
+
+// ShortfallError reports a min-cost flow whose requested value the network
+// cannot carry: after shipping a maximum flow, Unrouted units are left
+// with no augmenting path from Src to Dst. errors.Is(err,
+// ErrInsufficientCapacity) holds for it.
+type ShortfallError struct {
+	Unrouted float64
+	Src, Dst graph.NodeID
+}
+
+func (e *ShortfallError) Error() string {
+	return fmt.Sprintf("%v: %.6g units unroutable from %d to %d", ErrInsufficientCapacity, e.Unrouted, e.Src, e.Dst)
+}
+
+// Unwrap makes errors.Is(err, ErrInsufficientCapacity) hold.
+func (e *ShortfallError) Unwrap() error { return ErrInsufficientCapacity }
+
+// Network is a residual network kept for reuse across min-cost flow
+// solves. Reset rebuilds it in place from a graph, with optional per-arc
+// capacity overrides; AddNode and AddArc extend it (a super-sink and its
+// demand arcs, say) without touching the graph. After the first solve on
+// graphs of one size, Reset, MinCostFlow and ArcFlow allocate nothing: the
+// arc arrays, potentials and Dijkstra scratch are all reused. The zero
+// value is ready to use. A Network is not safe for concurrent use.
+//
+// The arc order is that of cloning the graph and calling graph.AddNode and
+// graph.AddArc on the clone, so a solve is bit-identical to MinCostFlow on
+// that clone, ties included.
+type Network struct {
+	r   resNet
+	pot []float64
+}
+
+// Reset rebuilds the network from g's nodes and arcs. capOf, when non-nil,
+// gives the capacity of each arc (by ID, from its graph capacity) in place
+// of the graph's; it is not retained.
+func (nw *Network) Reset(g *graph.Graph, capOf func(id graph.ArcID, c float64) float64) {
+	nw.r.reset(g, capOf)
+}
+
+// AddNode appends a node and returns its ID.
+func (nw *Network) AddNode() graph.NodeID {
+	nw.r.head = append(nw.r.head, -1)
+	nw.r.n++
+	return nw.r.n - 1
+}
+
+// AddArc appends an arc from u to v after the graph's arcs.
+func (nw *Network) AddArc(u, v graph.NodeID, cost, capacity float64) {
+	nw.r.addPair(u, v, capacity, cost, len(nw.r.to)/2)
+}
+
+// MinCostFlow ships value units from src to dst (src != dst) at minimum
+// cost, as the package-level MinCostFlowContext does, leaving the arc
+// flows in the network for ArcFlow. A value the network cannot carry
+// returns a *ShortfallError.
+func (nw *Network) MinCostFlow(ctx context.Context, src, dst graph.NodeID, value float64) error {
+	r := &nw.r
+	if cap(nw.pot) < r.n {
+		nw.pot = make([]float64, r.n)
+	}
+	pot := nw.pot[:r.n]
+	for v := range pot {
+		pot[v] = 0
+	}
 	remaining := value
 	// Relative tolerance: float dust at ~1e6 request-rate scale must not
 	// read as unroutable demand.
@@ -217,7 +304,7 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 	for remaining > tol {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("flow: canceled with %.6g units unshipped: %w", remaining, err)
+				return fmt.Errorf("flow: canceled with %.6g units unshipped: %w", remaining, err)
 			}
 		}
 		dist, parent := r.dijkstra(src, pot)
@@ -225,8 +312,7 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 			if math.IsInf(value, 1) {
 				break // max flow reached
 			}
-			return nil, fmt.Errorf("%w: %.6g units unroutable from %d to %d",
-				ErrInsufficientCapacity, remaining, src, dst)
+			return &ShortfallError{Unrouted: remaining, Src: src, Dst: dst}
 		}
 		for v := 0; v < r.n; v++ {
 			if !math.IsInf(dist[v], 1) {
@@ -254,7 +340,20 @@ func MinCostFlowContext(ctx context.Context, g *graph.Graph, src, dst graph.Node
 		}
 		remaining -= bottleneck
 	}
-	return r.extract(g, src), nil
+	return nil
+}
+
+// ArcFlow writes the flow of the last MinCostFlow on arcs 0..len(out)-1
+// (graph arcs first, then added arcs, in order) into out, zeroing flows
+// below the package's flow threshold.
+func (nw *Network) ArcFlow(out []float64) {
+	for id := range out {
+		f := nw.r.cap[2*id+1]
+		if f < eps {
+			f = 0
+		}
+		out[id] = f
+	}
 }
 
 func (r *resNet) extract(g *graph.Graph, src graph.NodeID) *Result {

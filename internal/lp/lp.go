@@ -322,6 +322,12 @@ func (p *Problem) Value(x []float64) float64 {
 	return v
 }
 
+// FeasTol is the absolute phase-1 feasibility tolerance: a problem whose
+// minimum sum of artificial variables exceeds it is reported ErrInfeasible.
+// Callers that can bound that sum from below (routing's lone-item
+// shortfall) use it to skip a solve that is certain to fail.
+const FeasTol = feasTol
+
 const (
 	pivotTol = 1e-9
 	feasTol  = 1e-7

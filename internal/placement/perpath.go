@@ -2,6 +2,7 @@ package placement
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -37,8 +38,11 @@ const (
 	PerPathGreedy
 )
 
-// perPathLPLimit caps the number of auxiliary z variables for PerPathAuto;
-// beyond it the dense simplex becomes the bottleneck and greedy is used.
+// perPathLPLimit caps, for PerPathAuto, the number of (path, link) saving
+// terms — the summed serving-path lengths, counted before aggregateSavings
+// merges them; beyond it the greedy is used instead of LP + pipage. The
+// count is kept on the raw terms so the LP-or-greedy choice does not
+// depend on how the LP is reduced.
 const perPathLPLimit = 1500
 
 // PerPathSaving evaluates the cost saving F_{r,f}(x) of Eq. (14): for each
@@ -252,19 +256,20 @@ func placePerPathGreedy(ctx context.Context, s *Spec, paths []ServingPath) (*Pla
 	return pl, nil
 }
 
-// zref is one auxiliary saving variable of the Eq. (15) LP: a (path, link)
-// pair with its rate-weighted link cost and the x variables of the
-// cacheable nodes downstream of the link.
+// zref is one saving term of the Eq. (15) LP: a (path, link) pair with its
+// rate-weighted link cost and the x variables of the cacheable nodes
+// downstream of the link, or — after aggregateSavings — the merged term of
+// every pair sharing that downstream set.
 type zref struct {
-	weight float64 // rate * link cost
+	weight float64 // rate * link cost, summed over merged pairs
 	idx    []int   // x variables of downstream nodes
 }
 
-// enumerateSavings builds the z variables of the Eq. (15) LP, one path per
-// work item on the bounded pool: each path's (link, downstream-set) walk is
-// independent, and the per-path lists are flattened in path order so the
-// variable numbering is identical to the sequential enumeration no matter
-// the worker count.
+// enumerateSavings lists the (path, link) saving terms of the Eq. (15) LP,
+// one path per work item on the bounded pool: each path's (link,
+// downstream-set) walk is independent, and the per-path lists are
+// flattened in path order so the result is identical to the sequential
+// enumeration no matter the worker count.
 func enumerateSavings(ctx context.Context, s *Spec, paths []ServingPath, nodeIdx []int, xIdx func(vi, i int) int, workers int) ([]zref, error) {
 	g := s.G
 	perPath, err := par.Map(ctx, workers, len(paths), func(k int) ([]zref, error) {
@@ -309,37 +314,83 @@ func enumerateSavings(ctx context.Context, s *Spec, paths []ServingPath, nodeIdx
 	return zs, nil
 }
 
-// placePerPathLP solves the LP form of (15) and pipage-rounds the result.
-// solver, when non-nil, warm-starts the LP from the previous round's basis.
-func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers int, solver *lp.Solver) (*Placement, error) {
-	g := s.G
-	var nodes []graph.NodeID
-	nodeIdx := make([]int, g.NumNodes())
+// aggregateSavings reduces the (path, link) terms to the distinct savings
+// the Eq. (15) LP needs, without changing its optimum. A term's saving is
+// w * min(1, sum of its x), so:
+//   - a term with no downstream x saves nothing and is dropped;
+//   - a term with one downstream x saves exactly w * x, because x <= 1; its
+//     weight is added to xObj[x] and it needs no z and no row;
+//   - terms with identical downstream sets (as multisets, keyed by their
+//     sorted contents) share one z, whose weight is their sum.
+//
+// The merged terms keep the first member's index order and are numbered in
+// first-appearance order over zs, which is path order, so the LP does not
+// depend on the worker count.
+func aggregateSavings(zs []zref, nx int) (xObj []float64, terms []zref) {
+	xObj = make([]float64, nx)
+	slot := map[string]int{}
+	var sorted []int
+	var key []byte
+	for _, z := range zs {
+		switch len(z.idx) {
+		case 0:
+			continue
+		case 1:
+			xObj[z.idx[0]] += z.weight
+			continue
+		}
+		sorted = append(sorted[:0], z.idx...)
+		sort.Ints(sorted)
+		key = key[:0]
+		for _, j := range sorted {
+			key = binary.AppendUvarint(key, uint64(j))
+		}
+		if t, ok := slot[string(key)]; ok {
+			terms[t].weight += z.weight
+			continue
+		}
+		slot[string(key)] = len(terms)
+		terms = append(terms, z)
+	}
+	return xObj, terms
+}
+
+// cacheSlots numbers the nodes that can hold x variables (positive
+// capacity, not pinned): nodes lists them and nodeIdx[v] is v's position
+// in it, -1 for every other node. Variable x_(vi, i) is column
+// vi*NumItems + i.
+func cacheSlots(s *Spec) (nodes []graph.NodeID, nodeIdx []int) {
+	nodeIdx = make([]int, s.G.NumNodes())
 	for v := range nodeIdx {
 		nodeIdx[v] = -1
-	}
-	for v := 0; v < g.NumNodes(); v++ {
 		if s.CacheCap[v] > 0 && !s.IsPinned(v) {
 			nodeIdx[v] = len(nodes)
 			nodes = append(nodes, v)
 		}
 	}
+	return nodes, nodeIdx
+}
+
+// perPathProblem builds the LP form of (15) over the distinct savings of
+// aggregateSavings: the x columns of cacheSlots, then one z per merged
+// term, with a row z <= sum of its x per term and one cache-capacity row
+// per node.
+func perPathProblem(ctx context.Context, s *Spec, paths []ServingPath, nodes []graph.NodeID, nodeIdx []int, workers int) (*lp.Problem, error) {
 	nx := len(nodes) * s.NumItems
 	xIdx := func(vi, i int) int { return vi*s.NumItems + i }
-
-	// One z variable per (path, link) whose saving is not already
-	// guaranteed by a pinned node downstream of the link.
 	zs, err := enumerateSavings(ctx, s, paths, nodeIdx, xIdx, workers)
 	if err != nil {
 		return nil, fmt.Errorf("placement: per-path enumeration: %w", err)
 	}
-	prob := lputil.NewProblem(nx + len(zs))
+	xObj, terms := aggregateSavings(zs, nx)
+	prob := lputil.NewProblem(nx + len(terms))
 	prob.SetSense(lp.Maximize)
 	for j := 0; j < nx; j++ {
 		prob.SetBounds(j, 0, 1)
+		prob.SetObjectiveCoeff(j, xObj[j])
 	}
 	row := lp.NewRowBuilder(prob)
-	for zi, z := range zs {
+	for zi, z := range terms {
 		zv := nx + zi
 		prob.SetObjectiveCoeff(zv, z.weight)
 		prob.SetBounds(zv, 0, 1)
@@ -358,6 +409,18 @@ func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers i
 		if err := row.Constrain(lp.LE, s.CacheCap[v]); err != nil {
 			return nil, fmt.Errorf("placement: per-path LP: %w", err)
 		}
+	}
+	return prob, nil
+}
+
+// placePerPathLP solves the LP form of (15) and pipage-rounds the result.
+// solver, when non-nil, warm-starts the LP from the previous round's basis.
+func placePerPathLP(ctx context.Context, s *Spec, paths []ServingPath, workers int, solver *lp.Solver) (*Placement, error) {
+	g := s.G
+	nodes, nodeIdx := cacheSlots(s)
+	prob, err := perPathProblem(ctx, s, paths, nodes, nodeIdx, workers)
+	if err != nil {
+		return nil, err
 	}
 	sol, err := lputil.SolveWith(ctx, solver, "placement: per-path LP", prob)
 	if err != nil {

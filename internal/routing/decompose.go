@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"jcr/internal/core/lputil"
-	"jcr/internal/flow"
 	"jcr/internal/graph"
 	"jcr/internal/lp"
 	"jcr/internal/par"
@@ -388,28 +387,21 @@ func recoverInOrder(ctx context.Context, aux *graph.Auxiliary, active []itemDema
 	flows := make([][]float64, len(active))
 	var cost float64
 	for _, k := range order {
-		gg := g.Clone()
-		for id := 0; id < g.NumArcs(); id++ {
+		vs := aux.VirtualSource[k]
+		f, err := itemMinCostFlow(ctx, aux, k, active[k], func(id graph.ArcID, c float64) float64 {
 			if !aux.IsVirtualArc(id) {
-				gg.SetArcCap(id, residual[id])
+				return residual[id]
 			}
-		}
-		if supplyCaps != nil {
-			for _, v := range sortedArcKeys(aux.VirtualArc[k]) {
-				gg.SetArcCap(aux.VirtualArc[k][v], supplyCaps[k][v])
+			if supplyCaps != nil {
+				if a := g.Arc(id); a.From == vs && aux.VirtualArc[k][a.To] == id {
+					return supplyCaps[k][a.To]
+				}
 			}
-		}
-		super := gg.AddNode()
-		var total float64
-		for _, t := range active[k].sorted {
-			gg.AddArc(t, super, 0, active[k].sinks[t])
-			total += active[k].sinks[t]
-		}
-		res, err := flow.MinCostFlowContext(ctx, gg, aux.VirtualSource[k], super, total)
+			return c
+		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("item %d: %w", active[k].item, err)
 		}
-		f := res.Arc[:g.NumArcs()]
 		flows[k] = f
 		for id, v := range f {
 			if !aux.IsVirtualArc(id) {

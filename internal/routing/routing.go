@@ -19,10 +19,12 @@ package routing
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"jcr/internal/core/lputil"
 	"jcr/internal/flow"
@@ -164,71 +166,9 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 	if opts.RoundingTrials <= 0 {
 		opts.RoundingTrials = 5
 	}
-	// Active items and their replica sets. The per-item demand sets come
-	// from the Reuse cache when one is threaded (nil-safe: computed fresh
-	// otherwise); replica filtering always runs per call because the
-	// placement changes between rounds.
-	var active []itemDemand
-	var groups [][]graph.NodeID
-	unserved := map[placement.Request]float64{}
-	for _, bd := range opts.Reuse.baseDemand(s) {
-		i, sinks, total := bd.item, bd.sinks, bd.total
-		reps := pl.Replicas(i)
-		if len(reps) == 0 {
-			if opts.BestEffort {
-				for v, r := range sinks {
-					unserved[placement.Request{Item: i, Node: v}] = r
-				}
-				continue
-			}
-			return nil, fmt.Errorf("routing: item %d has no replicas", i)
-		}
-		sorted := bd.sorted
-		if opts.BestEffort {
-			// Drop demand no replica can reach (links down, network
-			// partitioned); the flow solvers would otherwise fail the
-			// whole solve over it. The sink map is shared with the demand
-			// cache, so filter a copy.
-			sinks = cloneSinks(sinks)
-			// Reachability is tie-independent, so the engine's cached
-			// trees (replica sets repeat across rounds and hours) give
-			// exactly the set a structural search would.
-			reach := opts.Reuse.Engine().Reach(s.G, reps)
-			// The cached sorted order keeps the floating-point subtraction
-			// sequence (and hence total's last bits) independent of map
-			// iteration; filtering preserves it, so nothing re-sorts. The
-			// kept-slice copy is deferred until the first drop — in the
-			// common all-reachable case the cached slice is shared as-is.
-			var kept []graph.NodeID
-			dropped := false
-			for idx, v := range bd.sorted {
-				if reach[v] {
-					if dropped {
-						kept = append(kept, v)
-					}
-					continue
-				}
-				if !dropped {
-					kept = append(kept, bd.sorted[:idx]...)
-					dropped = true
-				}
-				r := sinks[v]
-				unserved[placement.Request{Item: i, Node: v}] = r
-				delete(sinks, v)
-				total -= r
-			}
-			if dropped {
-				sorted = kept
-			}
-			if total <= 0 {
-				continue
-			}
-		}
-		active = append(active, itemDemand{item: i, sinks: sinks, sorted: sorted, total: total})
-		groups = append(groups, reps)
-	}
-	if len(unserved) == 0 {
-		unserved = nil
+	active, groups, unserved, err := demandSets(s, pl, opts)
+	if err != nil {
+		return nil, err
 	}
 	aux := opts.Reuse.auxiliary(s.G, groups)
 
@@ -332,6 +272,79 @@ func RouteContext(ctx context.Context, s *placement.Spec, pl *placement.Placemen
 	return best, nil
 }
 
+// demandSets returns the items to route, each with its demand and replica
+// group, and — under Options.BestEffort — the demand no replica can reach
+// (nil when there is none).
+func demandSets(s *placement.Spec, pl *placement.Placement, opts Options) ([]itemDemand, [][]graph.NodeID, map[placement.Request]float64, error) {
+	// Active items and their replica sets. The per-item demand sets come
+	// from the Reuse cache when one is threaded (nil-safe: computed fresh
+	// otherwise); replica filtering always runs per call because the
+	// placement changes between rounds.
+	var active []itemDemand
+	var groups [][]graph.NodeID
+	unserved := map[placement.Request]float64{}
+	for _, bd := range opts.Reuse.baseDemand(s) {
+		i, sinks, total := bd.item, bd.sinks, bd.total
+		reps := pl.Replicas(i)
+		if len(reps) == 0 {
+			if opts.BestEffort {
+				for v, r := range sinks {
+					unserved[placement.Request{Item: i, Node: v}] = r
+				}
+				continue
+			}
+			return nil, nil, nil, fmt.Errorf("routing: item %d has no replicas", i)
+		}
+		sorted := bd.sorted
+		if opts.BestEffort {
+			// Drop demand no replica can reach (links down, network
+			// partitioned); the flow solvers would otherwise fail the
+			// whole solve over it. The sink map is shared with the demand
+			// cache, so filter a copy.
+			sinks = cloneSinks(sinks)
+			// Reachability is tie-independent, so the engine's cached
+			// trees (replica sets repeat across rounds and hours) give
+			// exactly the set a structural search would.
+			reach := opts.Reuse.Engine().Reach(s.G, reps)
+			// The cached sorted order keeps the floating-point subtraction
+			// sequence (and hence total's last bits) independent of map
+			// iteration; filtering preserves it, so nothing re-sorts. The
+			// kept-slice copy is deferred until the first drop — in the
+			// common all-reachable case the cached slice is shared as-is.
+			var kept []graph.NodeID
+			dropped := false
+			for idx, v := range bd.sorted {
+				if reach[v] {
+					if dropped {
+						kept = append(kept, v)
+					}
+					continue
+				}
+				if !dropped {
+					kept = append(kept, bd.sorted[:idx]...)
+					dropped = true
+				}
+				r := sinks[v]
+				unserved[placement.Request{Item: i, Node: v}] = r
+				delete(sinks, v)
+				total -= r
+			}
+			if dropped {
+				sorted = kept
+			}
+			if total <= 0 {
+				continue
+			}
+		}
+		active = append(active, itemDemand{item: i, sinks: sinks, sorted: sorted, total: total})
+		groups = append(groups, reps)
+	}
+	if len(unserved) == 0 {
+		unserved = nil
+	}
+	return active, groups, unserved, nil
+}
+
 // SolveMMSFPExact computes the exact optimal fractional routing cost for a
 // fixed placement via the coupled multicommodity LP, with no heuristic
 // fallbacks: if the demands do not fit the link capacities it returns the
@@ -411,28 +424,9 @@ func reachableFrom(g *graph.Graph, roots []graph.NodeID) []bool {
 func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, opts Options) ([][]float64, string, *DecomposeInfo, error) {
 	g := aux.G
 	// 1. Independent per-item min-cost flows, each respecting the link
-	// capacities on its own. The items are independent here — each one
-	// routes on its own clone of the auxiliary graph — so they fan out on
-	// the bounded pool; flows[k] is written only by item k's worker and
-	// the aggregation below runs sequentially in item order.
-	flows := make([][]float64, len(active))
-	if err := par.Do(ctx, opts.Workers, len(active), func(k int) error {
-		f, err := itemMinCostFlow(ctx, aux, k, active[k], nil, false)
-		if err != nil {
-			if ctx != nil && ctx.Err() != nil {
-				return err
-			}
-			// Even this single item exceeds some capacity: route it
-			// capacity-obliviously; the congestion check below will
-			// send us to the coupled solvers.
-			f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
-			if err != nil {
-				return err
-			}
-		}
-		flows[k] = f
-		return nil
-	}); err != nil {
+	// capacities on its own.
+	flows, shortfall, err := independentFlows(ctx, aux, active, opts.Workers)
+	if err != nil {
 		return nil, "", nil, err
 	}
 	agg := make([]float64, g.NumArcs())
@@ -464,17 +458,28 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 			return nil, "", nil, derr
 		}
 	}
-	// 3. Exact multicommodity LP when small enough.
+	// 3. Exact multicommodity LP when small enough — unless some item alone
+	// already falls short of its demand by more than the LP's phase-1
+	// tolerance. The coupled LP only adds constraints to that item's flow,
+	// and its phase-1 optimum is then at least twice the shortfall (every
+	// unit a sink misses needs one artificial at the sink and one at the
+	// source or a transit node), so the LP is certain to report
+	// infeasible. Dropping the retained basis is what that failed solve
+	// would have done, so later solves start from the same state.
 	if len(active)*g.NumArcs() <= opts.LPMaxVars {
-		lpFlows, err := multicommodityLP(ctx, aux, active, opts.Reuse)
-		if err == nil {
-			return lpFlows, MethodLP, nil, nil
+		if shortfall > lp.FeasTol {
+			opts.Reuse.solver().Invalidate()
+		} else {
+			lpFlows, err := multicommodityLP(ctx, aux, active, opts.Reuse)
+			if err == nil {
+				return lpFlows, MethodLP, nil, nil
+			}
+			if ctx != nil && ctx.Err() != nil {
+				return nil, "", nil, err
+			}
+			// Infeasible or numerically stuck: fall through to the
+			// sequential heuristic, which always produces a solution.
 		}
-		if ctx != nil && ctx.Err() != nil {
-			return nil, "", nil, err
-		}
-		// Infeasible or numerically stuck: fall through to the
-		// sequential heuristic, which always produces a solution.
 	}
 	// 4. Sequential residual-capacity routing, largest demand first,
 	// with a capacity-oblivious fallback per item.
@@ -487,15 +492,21 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	for id := range residual {
 		residual[id] = g.Arc(id).Cap
 	}
+	residualCap := func(id graph.ArcID, c float64) float64 {
+		if aux.IsVirtualArc(id) {
+			return c
+		}
+		return residual[id]
+	}
 	for _, k := range order {
-		f, err := itemMinCostFlow(ctx, aux, k, active[k], residual, false)
+		f, err := itemMinCostFlow(ctx, aux, k, active[k], residualCap)
 		if err != nil {
 			if ctx != nil && ctx.Err() != nil {
 				return nil, "", nil, err
 			}
 			// No room left: route capacity-obliviously and absorb
 			// the congestion (measured by the caller).
-			f, err = itemMinCostFlow(ctx, aux, k, active[k], nil, true)
+			f, err = itemMinCostFlow(ctx, aux, k, active[k], unlimitedCap)
 			if err != nil {
 				return nil, "", nil, err
 			}
@@ -511,10 +522,43 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	return flows, MethodSequential, nil, nil
 }
 
-// itemMinCostFlow routes one item's demands from its virtual source via a
-// super-sink min-cost flow. residual, if non-nil, overrides arc capacities;
-// unlimited ignores capacities entirely (the capacity-oblivious last
-// resort, whose congestion the caller measures).
+// independentFlows routes every item alone within the link capacities.
+// The items are independent here, so they fan out on the bounded pool;
+// flows[k] is written only by item k's worker. An item that does not fit
+// on its own is routed capacity-obliviously instead (the caller's
+// congestion check then sends it to the coupled solvers), and the largest
+// such lone shortfall — demand left without an augmenting path — is
+// returned beside the flows.
+func independentFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, workers int) ([][]float64, float64, error) {
+	flows := make([][]float64, len(active))
+	short := make([]float64, len(active))
+	if err := par.Do(ctx, workers, len(active), func(k int) error {
+		f, err := itemMinCostFlow(ctx, aux, k, active[k], nil)
+		if err != nil {
+			if ctx != nil && ctx.Err() != nil {
+				return err
+			}
+			var se *flow.ShortfallError
+			if errors.As(err, &se) {
+				short[k] = se.Unrouted
+			}
+			f, err = itemMinCostFlow(ctx, aux, k, active[k], unlimitedCap)
+			if err != nil {
+				return err
+			}
+		}
+		flows[k] = f
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	var shortfall float64
+	for _, v := range short {
+		shortfall = math.Max(shortfall, v)
+	}
+	return flows, shortfall, nil
+}
+
 // sortedSinks returns the sink nodes of a demand map in ascending node
 // order, giving map-backed loops a deterministic iteration sequence.
 func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
@@ -526,37 +570,41 @@ func sortedSinks(sinks map[graph.NodeID]float64) []graph.NodeID {
 	return out
 }
 
-func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDemand, residual []float64, unlimited bool) ([]float64, error) {
-	gg := aux.G.Clone()
-	switch {
-	case unlimited:
-		for id := 0; id < aux.G.NumArcs(); id++ {
-			gg.SetArcCap(id, graph.Unlimited)
-		}
-	case residual != nil:
-		for id := 0; id < aux.G.NumArcs(); id++ {
-			if aux.IsVirtualArc(id) {
-				continue
-			}
-			gg.SetArcCap(id, residual[id])
-		}
-	}
-	super := gg.AddNode()
+// flowNets pools the residual networks of itemMinCostFlow. Each call,
+// including each concurrent item under par.Do, draws its own network and
+// rebuilds it in place, so the per-item flows reallocate nothing but the
+// returned flow slice.
+var flowNets = sync.Pool{New: func() any { return new(flow.Network) }}
+
+// unlimitedCap is the capacity-oblivious override of itemMinCostFlow: the
+// last resort, whose congestion the caller measures.
+func unlimitedCap(graph.ArcID, float64) float64 { return graph.Unlimited }
+
+// itemMinCostFlow routes item k's demands from its virtual source through
+// a super-sink min-cost flow on aux.G. capOf, when non-nil, overrides arc
+// capacities (see flow.Network.Reset). The returned slice is indexed like
+// aux.G's arcs.
+func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDemand, capOf func(graph.ArcID, float64) float64) ([]float64, error) {
+	nw := flowNets.Get().(*flow.Network)
+	defer flowNets.Put(nw)
+	nw.Reset(aux.G, capOf)
+	super := nw.AddNode()
 	var total float64
 	// Sorted sink order: the demand arcs' IDs influence which of several
 	// equal-cost flows the solver returns, so map iteration order must not
-	// leak into the graph construction. The order is precomputed when the
-	// demand set is built (see itemDemand.sorted) — this loop runs once per
-	// item per solve and must not re-sort.
+	// leak into the network construction. The order is precomputed when
+	// the demand set is built (see itemDemand.sorted) — this loop runs once
+	// per item per solve and must not re-sort.
 	for _, t := range ad.sorted {
-		gg.AddArc(t, super, 0, ad.sinks[t])
+		nw.AddArc(t, super, 0, ad.sinks[t])
 		total += ad.sinks[t]
 	}
-	res, err := flow.MinCostFlowContext(ctx, gg, aux.VirtualSource[k], super, total)
-	if err != nil {
+	if err := nw.MinCostFlow(ctx, aux.VirtualSource[k], super, total); err != nil {
 		return nil, err
 	}
-	return res.Arc[:aux.G.NumArcs()], nil
+	out := make([]float64, aux.G.NumArcs())
+	nw.ArcFlow(out)
+	return out, nil
 }
 
 // multicommodityLP solves the coupled MMSFP exactly: one flow variable per
