@@ -109,8 +109,8 @@ type AlternatingOptions struct {
 
 // SolveState bundles the reusable solver state of the alternating
 // optimizer's two subproblems: the Eq. (15) per-path LP's warm-start handle
-// and the routing layer's caches (demand sets, auxiliary graph,
-// multicommodity LP skeleton). The alternating loop re-solves structurally
+// and the routing layer's caches (demand sets, auxiliary graph, the
+// decomposed path's cell programs). The alternating loop re-solves structurally
 // repeating problems every round — and the online controller re-runs the
 // whole loop every hour — so carrying the state across calls turns most of
 // those solves into warm starts. Correctness is unaffected: every layer

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -231,5 +232,41 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if g.NumNodes() != 2 {
 		t.Error("clone mutation leaked into original node count")
+	}
+}
+
+// TreeOfWeights gives, bit for bit, the tree TreeOf gives on a copy of the
+// graph whose arc costs were replaced by the weights, parallel arcs,
+// self-loops and zero weights included; with the costs as weights it is
+// TreeOf itself.
+func TestTreeOfWeightsMatchesReweightedGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(12)
+		g := New(n)
+		for e := n + rng.Intn(3*n); e > 0; e-- {
+			g.AddArc(rng.Intn(n), rng.Intn(n), float64(rng.Intn(6)), 1)
+		}
+		src := rng.Intn(n)
+		costs := make([]float64, g.NumArcs())
+		w := make([]float64, g.NumArcs())
+		re := g.Clone()
+		for id := range w {
+			costs[id] = g.Arc(id).Cost
+			w[id] = float64(rng.Intn(4)) * rng.Float64()
+			re.SetArcCost(id, w[id])
+		}
+		for _, tc := range []struct {
+			name string
+			got  ShortestTree
+			want ShortestTree
+		}{
+			{"costs", TreeOfWeights(g, src, costs), TreeOf(g, src)},
+			{"weights", TreeOfWeights(g, src, w), TreeOf(re, src)},
+		} {
+			if !reflect.DeepEqual(tc.got, tc.want) {
+				t.Fatalf("trial %d (%s): tree %+v, want %+v", trial, tc.name, tc.got, tc.want)
+			}
+		}
 	}
 }

@@ -279,6 +279,38 @@ func dijkstraCSRMask(c *csr, src NodeID, s *scratch, mask []uint64) {
 	}
 }
 
+// dijkstraCSRWeights is dijkstraCSRPlain with every arc weighed by w[id]
+// instead of its cost: identical settle order, relaxation and tie
+// behaviour, so the tree is the canonical one of the reweighted graph.
+//
+//jcr:hotpath
+func dijkstraCSRWeights(c *csr, src NodeID, s *scratch, w []float64) {
+	sv := int32(src)
+	s.visit(sv)
+	s.dist[sv] = 0
+	s.heapFix(s.dist, sv)
+	fwdTo, fwdArc := c.fwdTo, c.fwdArc
+	for len(s.heap) > 0 {
+		v := s.heapPop(s.dist)
+		d := s.dist[v]
+		for j := c.fwdHead[v]; j < c.fwdHead[v+1]; j++ {
+			u := fwdTo[j]
+			nd := d + w[fwdArc[j]]
+			if s.stamp[u] != s.cur {
+				s.stamp[u] = s.cur
+				s.dist[u] = nd
+				s.parent[u] = fwdArc[j]
+				s.pos[u] = -1
+				s.heapFix(s.dist, u)
+			} else if nd < s.dist[u] {
+				s.dist[u] = nd
+				s.parent[u] = fwdArc[j]
+				s.heapFix(s.dist, u)
+			}
+		}
+	}
+}
+
 // extractTree materializes the scratch of a completed full run (goal -1)
 // as a ShortestTree; unstamped nodes were never reached.
 func (s *scratch) extractTree(src NodeID, n int) ShortestTree {
@@ -346,6 +378,25 @@ func Dijkstra(g *Graph, src NodeID, skipArc func(ArcID) bool, skipNode func(Node
 // repeatedly (across alternating rounds, fault hours, or replica loops).
 func TreeOf(g *Graph, src NodeID) ShortestTree {
 	return Dijkstra(g, src, nil, nil)
+}
+
+// TreeOfWeights is TreeOf with arc id weighing w[id] in place of its
+// cost: the canonical shortest-path tree of g from src under those
+// weights, ties broken exactly as TreeOf breaks them. w must have one
+// entry per arc, every one nonnegative (Dijkstra's precondition); a +Inf
+// weight never relaxes, so it removes the arc. Column-generation pricing
+// runs it over dual-adjusted costs.
+func TreeOfWeights(g *Graph, src NodeID, w []float64) ShortestTree {
+	if len(w) != g.NumArcs() {
+		//jcrlint:allow lib-panic: programmer-error guard; callers size the weights from NumArcs
+		panic(fmt.Sprintf("graph: %d weights for %d arcs", len(w), g.NumArcs()))
+	}
+	c := g.view()
+	s := acquireScratch(c.n)
+	dijkstraCSRWeights(c, src, s, w)
+	t := s.extractTree(src, c.n)
+	releaseScratch(s)
+	return t
 }
 
 // AllPairs computes the pairwise least costs w_{v->s} for all ordered node

@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// MMSFPSizedLP builds an LP with the shape of the coupled multicommodity
-// MMSFP program (internal/routing.multicommodityLP): one flow variable per
-// (item, arc), short conservation-like rows per item, and shared capacity
-// rows coupling every item on an arc. The rows are ~6 and ~nItems nonzeros
+// MMSFPSizedLP builds an LP with the shape of the arc-flow multicommodity
+// MMSFP program (internal/routing's buildArcFlowLP, the test oracle of its
+// path master): one flow variable per (item, arc), short
+// conservation-like rows per item, and shared capacity rows coupling every
+// item on an arc. The rows are ~6 and ~nItems nonzeros
 // wide over nItems*nArcs variables, so density falls as the instance
 // grows — exactly the regime the sparse revised simplex targets.
 func MMSFPSizedLP(nItems, nArcs int, seed int64) *Problem {

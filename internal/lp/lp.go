@@ -311,6 +311,14 @@ type Solution struct {
 	// is the average eta density (SolverStats.AvgEtaNNZ).
 	EtaUpdates int
 	EtaNNZ     int
+	// Duals holds one optimal dual value per constraint, in the order the
+	// constraints were added and in their original orientation, for the
+	// minimization of s·c'x with s = +1 under Minimize and -1 under
+	// Maximize (negate them for the maximization's own duals). Under that
+	// convention an LE row's dual is <= 0 and a GE row's >= 0, and the
+	// reduced cost s·c_j - sum_i Duals[i]·a_ij of a variable is >= 0 at
+	// its lower bound, <= 0 at its upper bound, and 0 strictly between.
+	Duals []float64
 }
 
 // Value evaluates the problem's objective at x.
@@ -362,9 +370,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 		}
 		return nil, err
 	}
-	x := r.extract()
-	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
-	r.fillCounters(sol)
+	sol := r.solution()
 	addGlobalCounters(sol)
 	return sol, nil
 }
@@ -384,5 +390,5 @@ func (p *Problem) SolveDense(ctx context.Context) (*Solution, error) {
 		return nil, err
 	}
 	x := t.extract()
-	return &Solution{X: x, Objective: p.Value(x), Pivots: t.pivots}, nil
+	return &Solution{X: x, Objective: p.Value(x), Pivots: t.pivots, Duals: t.duals()}, nil
 }

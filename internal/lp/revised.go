@@ -617,6 +617,41 @@ func (r *revised) recomputeBeta() {
 	r.b.ftran(r.beta)
 }
 
+// solution packages the optimal point of a completed solve: the
+// structural values, their objective, the row duals, and this solve's
+// counters.
+func (r *revised) solution() *Solution {
+	x := r.extract()
+	sol := &Solution{X: x, Objective: r.p.Value(x), Pivots: r.pivots, Duals: r.duals()}
+	r.fillCounters(sol)
+	return sol
+}
+
+// duals returns y = B^-T c_B for the final basis, mapped back to the
+// original rows: construction negated some rows to make their right-hand
+// side nonnegative, which negates their duals too. The phase-2 cost
+// vector already carries the Maximize sign flip, so the result is in the
+// minimize sense Solution.Duals documents. iterate declares optimality
+// only on fresh reduced costs, so the y that computeZ left behind belongs
+// to the final basis and costs; a stale workspace is recomputed.
+func (r *revised) duals() []float64 {
+	y := make([]float64, r.f.m)
+	if r.zOK {
+		copy(y, r.y)
+	} else {
+		for i, j := range r.basis {
+			y[i] = r.c[j]
+		}
+		r.b.btran(y)
+	}
+	for i, neg := range r.f.neg {
+		if neg {
+			y[i] = -y[i]
+		}
+	}
+	return y
+}
+
 // extract recovers the structural solution in original (unshifted)
 // coordinates, mirroring tableau.extract.
 func (r *revised) extract() []float64 {

@@ -193,12 +193,19 @@ func (s *Solver) retain(p *Problem) {
 // noteSolution folds a successful solve's per-solve counters into the
 // cumulative stats and the package-wide counters.
 func (s *Solver) noteSolution(sol *Solution) {
-	s.stats.PrimalPivots += int64(sol.PrimalPivots)
-	s.stats.BoundFlips += int64(sol.BoundFlips)
-	s.stats.Refactors += int64(sol.Refactors)
-	s.stats.EtaUpdates += int64(sol.EtaUpdates)
-	s.stats.EtaNNZ += int64(sol.EtaNNZ)
+	s.stats.AddCounters(sol)
 	addGlobalCounters(sol)
+}
+
+// AddCounters folds one solve's iteration counters (pivots, bound flips,
+// refactorizations, eta updates) into the cumulative ones, for callers
+// that keep SolverStats over one-shot solves.
+func (s *SolverStats) AddCounters(sol *Solution) {
+	s.PrimalPivots += int64(sol.PrimalPivots)
+	s.BoundFlips += int64(sol.BoundFlips)
+	s.Refactors += int64(sol.Refactors)
+	s.EtaUpdates += int64(sol.EtaUpdates)
+	s.EtaNNZ += int64(sol.EtaNNZ)
 }
 
 // matches reports whether p has the same structural skeleton as the problem
@@ -364,10 +371,7 @@ func (s *Solver) warmSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := r.iterate(); err != nil {
 		return nil, err
 	}
-	x := r.extract()
-	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
-	r.fillCounters(sol)
-	return sol, nil
+	return r.solution(), nil
 }
 
 // primalFeasible reports whether every basic value is inside its box
@@ -407,9 +411,7 @@ func (s *Solver) coldSolve(ctx context.Context, p *Problem) (*Solution, error) {
 	s.r = r
 	s.hasBasis = true
 	s.retain(p)
-	x := r.extract()
-	sol := &Solution{X: x, Objective: p.Value(x), Pivots: r.pivots}
-	r.fillCounters(sol)
+	sol := r.solution()
 	s.noteSolution(sol)
 	return sol, nil
 }

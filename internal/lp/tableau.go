@@ -26,6 +26,11 @@ type tableau struct {
 	inRow  []int     // inRow[j] = row where column j is basic, or -1
 	atUp   []bool    // nonbasic-at-upper-bound flags
 	frozen []bool    // columns barred from entering (artificials that left)
+	// unit[i] is row i's initial basic column (its slack or artificial,
+	// the one column with a +1 in row i and zeros elsewhere), and neg[i]
+	// records whether construction negated row i; duals reads both.
+	unit []int
+	neg  []bool
 
 	pivots     int
 	degenerate int // consecutive degenerate pivots
@@ -96,6 +101,8 @@ func newTableau(p *Problem) (*tableau, error) {
 		inRow:   make([]int, n),
 		atUp:    make([]bool, n),
 		frozen:  make([]bool, n),
+		unit:    make([]int, m),
+		neg:     make([]bool, m),
 	}
 	for j := 0; j < nStruct; j++ {
 		t.ub[j] = p.upper[j] - p.lower[j]
@@ -119,6 +126,7 @@ func newTableau(p *Problem) (*tableau, error) {
 			row[j] += sign * c.val[k]
 		}
 		t.beta[i] = r.rhs
+		t.neg[i] = r.neg
 		switch r.op {
 		case LE:
 			row[slack] = 1
@@ -138,8 +146,24 @@ func newTableau(p *Problem) (*tableau, error) {
 			t.inRow[art] = i
 			art++
 		}
+		t.unit[i] = t.basis[i]
 	}
 	return t, nil
+}
+
+// duals reads the row duals off the final phase-2 reduced costs: row i's
+// unit column costs 0 in phase 2 and has A_j = e_i, so its reduced cost
+// is 0 - y_i. Rows negated at construction negate their dual back (see
+// Solution.Duals for the sign convention).
+func (t *tableau) duals() []float64 {
+	y := make([]float64, t.m)
+	for i, j := range t.unit {
+		y[i] = -t.z[j]
+		if t.neg[i] {
+			y[i] = -y[i]
+		}
+	}
+	return y
 }
 
 // setCosts installs reduced costs for the given raw cost vector (length n)

@@ -115,6 +115,10 @@ type DecomposeInfo struct {
 	PrimalCost float64
 	// Gap is PrimalCost - LowerBound.
 	Gap float64
+	// Guided reports whether the returned routing came from the recovery
+	// guided by the converged supply split rather than the cold greedy
+	// one.
+	Guided bool
 }
 
 // cellProg is one cell's LP skeleton with its warm-start handle and the
@@ -268,6 +272,7 @@ func decomposedFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 	if caps := supplySplit(progs, active); caps != nil {
 		if guided, guidedCost, err := recoverStrict(ctx, aux, active, caps); err == nil && guidedCost < primalCost {
 			primal, primalCost = guided, guidedCost
+			info.Guided = true
 		} else if ctx != nil && ctx.Err() != nil {
 			return nil, nil, ctx.Err()
 		}

@@ -17,10 +17,10 @@ import (
 //     mutation generation (graph.Graph.Gen) plus the replica groups: once
 //     the alternating placement stabilizes, the groups repeat and the
 //     virtual-source construction is identical;
-//   - the multicommodity LP skeleton and its warm-start lp.Solver handle:
-//     on a repeated auxiliary graph only the conservation right-hand sides
-//     move, so the problem is mutated in place and the previous optimal
-//     basis carries over.
+//   - the decomposed path's cell set and per-cell LP skeletons (below).
+//
+// The multicommodity path master keeps nothing across calls; the handle
+// only counts its LP solves (LPStats).
 //
 // Every cache validates its key on each call and rebuilds on mismatch, so a
 // Reuse handle never changes results — only how much work they take. The
@@ -41,13 +41,8 @@ type Reuse struct {
 	auxGroups [][]graph.NodeID
 	aux       *graph.Auxiliary
 
-	mcSolver *lp.Solver
-	mcProb   *lp.Problem
-	mcAux    *graph.Auxiliary
-	mcGen    uint64
-	// mcRow[k][v] is the conservation row of (item k, node v), -1 when the
-	// node has no incident arcs (no row emitted).
-	mcRow [][]int
+	// lpStats counts the multicommodity path master's LP solves.
+	lpStats lp.SolverStats
 
 	// Partition-aware solve caches (decompose.go): the cell decomposition
 	// snapshot, keyed on the base graph's freshness and the assignment
@@ -67,9 +62,7 @@ type Reuse struct {
 }
 
 // NewReuse returns an empty handle; every first use builds from scratch.
-func NewReuse() *Reuse {
-	return &Reuse{mcSolver: lp.NewSolver()}
-}
+func NewReuse() *Reuse { return &Reuse{} }
 
 // Engine returns the handle's shortest-path-tree engine, created lazily:
 // the best-effort reach filter asks it for per-replica trees, which repeat
@@ -86,8 +79,8 @@ func (r *Reuse) Engine() *graph.Engine {
 	return r.eng
 }
 
-// Invalidate drops every cache (and the retained LP basis), forcing the next
-// RouteContext call to rebuild from scratch. Nil-safe.
+// Invalidate drops every cache, forcing the next RouteContext call to
+// rebuild from scratch; the LPStats counters keep counting. Nil-safe.
 func (r *Reuse) Invalidate() {
 	if r == nil {
 		return
@@ -97,34 +90,20 @@ func (r *Reuse) Invalidate() {
 	r.auxBase = nil
 	r.auxGroups = nil
 	r.aux = nil
-	r.mcProb = nil
-	r.mcAux = nil
-	r.mcRow = nil
 	r.dcSet = nil
 	r.dcAux = nil
 	r.dcProgs = nil
 	r.eng = nil
-	r.mcSolver.Invalidate()
 }
 
-// LPStats exposes the multicommodity solver's warm/cold counters (zero when
-// the LP path never ran). Nil-safe.
+// LPStats counts the multicommodity path master's LP solves through this
+// handle (zero when the master never ran). Every restricted master is
+// solved cold, so WarmHits and Fallbacks stay zero. Nil-safe.
 func (r *Reuse) LPStats() lp.SolverStats {
 	if r == nil {
 		return lp.SolverStats{}
 	}
-	return r.mcSolver.Stats()
-}
-
-// solver returns the warm-start handle, nil when caching is off.
-func (r *Reuse) solver() *lp.Solver {
-	if r == nil {
-		return nil
-	}
-	if r.mcSolver == nil {
-		r.mcSolver = lp.NewSolver()
-	}
-	return r.mcSolver
+	return r.lpStats
 }
 
 // baseDemand returns the per-item demand sets of s (every item with positive
@@ -200,56 +179,6 @@ func cloneSinks(sinks map[graph.NodeID]float64) map[graph.NodeID]float64 {
 		out[v] = d
 	}
 	return out
-}
-
-// mcMutate updates the cached multicommodity skeleton's conservation
-// right-hand sides for the new demands and reports whether the cache was
-// applicable: the auxiliary graph must be the cached one (same pointer, same
-// generation — capacities and costs are baked into the skeleton) and every
-// nonzero supply must land on an existing row. On any mismatch the caller
-// rebuilds from scratch.
-func (r *Reuse) mcMutate(aux *graph.Auxiliary, active []itemDemand) (*lp.Problem, bool) {
-	if r == nil || r.mcProb == nil || r.mcAux != aux || r.mcGen != aux.G.Gen() || len(r.mcRow) != len(active) {
-		return nil, false
-	}
-	p := r.mcProb
-	for k, ad := range active {
-		vs := aux.VirtualSource[k]
-		rows := r.mcRow[k]
-		for v := 0; v < aux.G.NumNodes(); v++ {
-			supply := 0.0
-			if v == vs {
-				supply = ad.total
-			} else if d, isSink := ad.sinks[v]; isSink {
-				supply = -d
-			}
-			ri := rows[v]
-			if ri < 0 {
-				if supply != 0 {
-					// Demand on an incidence-free node: the skeleton has no
-					// row to carry it, so the cold build's error path must
-					// run instead.
-					return nil, false
-				}
-				continue
-			}
-			if err := p.SetConstraintRHS(ri, supply); err != nil {
-				return nil, false
-			}
-		}
-	}
-	return p, true
-}
-
-// mcStore records a freshly built skeleton for the next mcMutate.
-func (r *Reuse) mcStore(aux *graph.Auxiliary, p *lp.Problem, rows [][]int) {
-	if r == nil {
-		return
-	}
-	r.mcProb = p
-	r.mcAux = aux
-	r.mcGen = aux.G.Gen()
-	r.mcRow = rows
 }
 
 // cellSet returns the decomposition snapshot for (base, assign), reusing

@@ -7,11 +7,13 @@
 //
 //   - MMSFP (fractional routing) is solved exactly: first by independent
 //     per-content min-cost flows (optimal whenever they happen to respect
-//     the shared capacities), then by the coupled multicommodity LP when
-//     small enough, and otherwise by a sequential residual-capacity
-//     heuristic with a capacity-oblivious last resort (the paper's
-//     evaluation likewise lets algorithms exceed capacity and measures the
-//     resulting congestion).
+//     the shared capacities), then, when small enough, by a path master
+//     solved by column generation (one demand row per request, one row per
+//     capacitated arc in use, paths priced by Dijkstra on dual-adjusted
+//     costs; see master.go), and otherwise by a sequential
+//     residual-capacity heuristic with a capacity-oblivious last resort
+//     (the paper's evaluation likewise lets algorithms exceed capacity and
+//     measures the resulting congestion).
 //   - MMUFP (integral routing, NP-hard [26]) is approximated by randomized
 //     rounding of the splittable path flows, the method the paper's
 //     evaluation uses.
@@ -26,7 +28,6 @@ import (
 	"sort"
 	"sync"
 
-	"jcr/internal/core/lputil"
 	"jcr/internal/flow"
 	"jcr/internal/graph"
 	"jcr/internal/lp"
@@ -92,8 +93,8 @@ type Options struct {
 	Workers int
 	// Reuse, when non-nil, carries caches across RouteContext calls with
 	// the same spec and graph: per-item demand sets, the Lemma 4.5
-	// auxiliary graph, and the multicommodity LP skeleton with its
-	// warm-start solver handle (see Reuse). Nil solves from scratch.
+	// auxiliary graph, and the decomposed path's cell programs (see
+	// Reuse). Nil solves from scratch.
 	Reuse *Reuse
 	// Decompose, when non-nil, enables the partition-aware solve path for
 	// instances too large for the monolithic LP: cells solve their own
@@ -346,10 +347,11 @@ func demandSets(s *placement.Spec, pl *placement.Placement, opts Options) ([]ite
 }
 
 // SolveMMSFPExact computes the exact optimal fractional routing cost for a
-// fixed placement via the coupled multicommodity LP, with no heuristic
-// fallbacks: if the demands do not fit the link capacities it returns the
-// LP's infeasibility error. Intended for reference bounds and tests; the
-// evaluation-scale path is Route.
+// fixed placement with the path master (column generation over per-request
+// paths, equal in optimum to the arc-flow multicommodity LP), with no
+// heuristic fallbacks: if the demands do not fit the link capacities it
+// returns an error wrapping lp.ErrInfeasible. Intended for reference
+// bounds and tests; the evaluation-scale path is Route.
 func SolveMMSFPExact(s *placement.Spec, pl *placement.Placement) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
@@ -379,17 +381,8 @@ func SolveMMSFPExact(s *placement.Spec, pl *placement.Placement) (float64, error
 		return 0, nil
 	}
 	aux := graph.NewAuxiliary(s.G, groups)
-	flows, err := multicommodityLP(nil, aux, active, nil)
-	if err != nil {
-		return 0, err
-	}
-	var cost float64
-	for k := range flows {
-		for e, f := range flows[k] {
-			cost += f * aux.G.Arc(e).Cost
-		}
-	}
-	return cost, nil
+	_, cost, err := newPathMaster(aux, active, nil).solve(nil)
+	return cost, err
 }
 
 // reachableFrom marks the nodes reachable from any of the given roots
@@ -458,28 +451,22 @@ func splittableFlows(ctx context.Context, aux *graph.Auxiliary, active []itemDem
 			return nil, "", nil, derr
 		}
 	}
-	// 3. Exact multicommodity LP when small enough — unless some item alone
-	// already falls short of its demand by more than the LP's phase-1
-	// tolerance. The coupled LP only adds constraints to that item's flow,
-	// and its phase-1 optimum is then at least twice the shortfall (every
-	// unit a sink misses needs one artificial at the sink and one at the
-	// source or a transit node), so the LP is certain to report
-	// infeasible. Dropping the retained basis is what that failed solve
-	// would have done, so later solves start from the same state.
-	if len(active)*g.NumArcs() <= opts.LPMaxVars {
-		if shortfall > lp.FeasTol {
-			opts.Reuse.solver().Invalidate()
-		} else {
-			lpFlows, err := multicommodityLP(ctx, aux, active, opts.Reuse)
-			if err == nil {
-				return lpFlows, MethodLP, nil, nil
-			}
-			if ctx != nil && ctx.Err() != nil {
-				return nil, "", nil, err
-			}
-			// Infeasible or numerically stuck: fall through to the
-			// sequential heuristic, which always produces a solution.
+	// 3. Exact multicommodity LP (the path master of master.go) when small
+	// enough — unless some item alone already falls short of its demand
+	// by more than the LP's phase-1 tolerance. The coupled problem only
+	// adds constraints to that item's flow, so at least that shortfall
+	// stays unrouted, more than the master's lp.FeasTol/2 verdict admits:
+	// it is certain to report infeasible.
+	if len(active)*g.NumArcs() <= opts.LPMaxVars && shortfall <= lp.FeasTol {
+		lpFlows, err := multicommodityLP(ctx, aux, active, opts.Reuse)
+		if err == nil {
+			return lpFlows, MethodLP, nil, nil
 		}
+		if ctx != nil && ctx.Err() != nil {
+			return nil, "", nil, err
+		}
+		// Infeasible or numerically stuck: fall through to the
+		// sequential heuristic, which always produces a solution.
 	}
 	// 4. Sequential residual-capacity routing, largest demand first,
 	// with a capacity-oblivious fallback per item.
@@ -605,100 +592,4 @@ func itemMinCostFlow(ctx context.Context, aux *graph.Auxiliary, k int, ad itemDe
 	out := make([]float64, aux.G.NumArcs())
 	nw.ArcFlow(out)
 	return out, nil
-}
-
-// multicommodityLP solves the coupled MMSFP exactly: one flow variable per
-// (item, arc), per-item conservation, shared capacity on real arcs. With a
-// Reuse handle, a structurally repeated instance (same auxiliary graph, same
-// active item count) mutates the cached skeleton's conservation right-hand
-// sides in place and warm-starts from the previous optimal basis; otherwise
-// the skeleton is rebuilt and retained for the next call.
-func multicommodityLP(ctx context.Context, aux *graph.Auxiliary, active []itemDemand, reuse *Reuse) ([][]float64, error) {
-	g := aux.G
-	m := g.NumArcs()
-	nc := len(active)
-	p, cached := reuse.mcMutate(aux, active)
-	if !cached {
-		var rows [][]int
-		var err error
-		p, rows, err = buildMulticommodityLP(aux, active)
-		if err != nil {
-			return nil, err
-		}
-		reuse.mcStore(aux, p, rows)
-	}
-	sol, err := lputil.SolveWith(ctx, reuse.solver(), "routing: multicommodity LP", p)
-	if err != nil {
-		return nil, err
-	}
-	return lputil.ExtractGrid(sol.X, 0, nc, m, lputil.Floor(flowEps)), nil
-}
-
-// buildMulticommodityLP constructs the MMSFP skeleton from scratch and
-// returns, alongside the problem, the conservation-row layout (rows[k][v] is
-// the row of item k's conservation at node v, -1 when the node has no
-// incident arcs) that Reuse.mcMutate needs for in-place RHS mutation.
-func buildMulticommodityLP(aux *graph.Auxiliary, active []itemDemand) (*lp.Problem, [][]int, error) {
-	g := aux.G
-	m := g.NumArcs()
-	nc := len(active)
-	p := lputil.NewProblem(nc * m)
-	fIdx := func(k, e int) int { return k*m + e }
-	for k := range active {
-		for e := 0; e < m; e++ {
-			p.SetObjectiveCoeff(fIdx(k, e), g.Arc(e).Cost)
-		}
-	}
-	rows := make([][]int, nc)
-	// Conservation per item and node. Self-loop arcs appear in both Out
-	// and In, which the row builder coalesces to a zero coefficient.
-	row := lp.NewRowBuilder(p)
-	nrows := 0
-	for k, ad := range active {
-		vs := aux.VirtualSource[k]
-		rows[k] = make([]int, g.NumNodes())
-		for v := 0; v < g.NumNodes(); v++ {
-			rows[k][v] = -1
-			for _, e := range g.Out(v) {
-				row.Add(fIdx(k, e), 1)
-			}
-			for _, e := range g.In(v) {
-				row.Add(fIdx(k, e), -1)
-			}
-			supply := 0.0
-			if v == vs {
-				supply = ad.total
-			} else if d, isSink := ad.sinks[v]; isSink {
-				supply = -d
-			}
-			if row.Len() == 0 {
-				if supply != 0 {
-					return nil, nil, fmt.Errorf("routing: node %d has demand but no incident arcs", v)
-				}
-				continue
-			}
-			// Other items' virtual sources are isolated from item
-			// k's flow: their virtual arcs stay unused because no
-			// flow can enter them (in-degree 0 for vs).
-			if err := row.Constrain(lp.EQ, supply); err != nil {
-				return nil, nil, fmt.Errorf("routing: multicommodity LP: %w", err)
-			}
-			rows[k][v] = nrows
-			nrows++
-		}
-	}
-	// Shared capacities on real arcs.
-	for e := 0; e < m; e++ {
-		c := g.Arc(e).Cap
-		if math.IsInf(c, 1) {
-			continue
-		}
-		for k := 0; k < nc; k++ {
-			row.Add(fIdx(k, e), 1)
-		}
-		if err := row.Constrain(lp.LE, c); err != nil {
-			return nil, nil, fmt.Errorf("routing: multicommodity LP: %w", err)
-		}
-	}
-	return p, rows, nil
 }
